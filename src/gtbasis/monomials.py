@@ -20,6 +20,7 @@ from .raising import (
     canonical_row_order,
     raising_word,
 )
+from .scalars import RadicalScalar
 
 
 class UnsupportedScheduleError(ValueError):
@@ -93,35 +94,33 @@ def basis_matrix(family: MonomialFamily) -> OperatorMatrix:
     basis = enumerate_patterns(family.partition)
     index = {pat: i for i, pat in enumerate(basis)}
     beta = highest_pattern(family.partition)
-    d = len(basis)
-    from .scalars import RadicalScalar
-
-    z = RadicalScalar.zero()
-    entries = [[z] * d for _ in range(d)]
-    for c, word in enumerate(family.words):
+    cols = []
+    for word in family.words:
         image = apply_word(word, ModuleVector.unit(beta))
-        for pat, coeff in image.terms.items():
-            entries[index[pat]][c] = coeff
-    return OperatorMatrix(entries)
+        cols.append({index[pat]: coeff for pat, coeff in image.terms.items()})
+    return OperatorMatrix.from_columns(cols)
 
 
 def rank(mat: OperatorMatrix) -> int:
     """Exact rank by Gaussian elimination, cross-checked in floating point.
 
-    Pivots prefer entries with few radical terms to keep the arithmetic
-    small; division is exact via RadicalScalar.invert.  The float check
-    counts singular values above 1e-9, and any disagreement is an internal
-    error — the two computations share no code.
+    Rows are sparse {col: value} dicts.  Pivots prefer entries with few
+    radical terms to keep the arithmetic small; division is exact via
+    RadicalScalar.invert.  The float check counts singular values above
+    1e-9, and any disagreement is an internal error — the two computations
+    share no code.
     """
     import numpy as np
 
-    rows = [list(r) for r in mat.entries]
     d = mat.dim
+    rows: list[dict[int, RadicalScalar]] = [{} for _ in range(d)]
+    for i, c, v in mat.nonzeros():
+        rows[i][c] = v
     r = 0
     for c in range(d):
         pivot_at = None
         for i in range(r, d):
-            if not rows[i][c].is_zero():
+            if c in rows[i]:
                 if pivot_at is None or len(rows[i][c].terms) < len(
                     rows[pivot_at][c].terms
                 ):
@@ -129,15 +128,20 @@ def rank(mat: OperatorMatrix) -> int:
         if pivot_at is None:
             continue
         rows[r], rows[pivot_at] = rows[pivot_at], rows[r]
-        inv = rows[r][c].invert()
+        pivot = rows[r]
+        inv = pivot[c].invert()
         for i in range(r + 1, d):
-            if rows[i][c].is_zero():
+            row = rows[i]
+            if c not in row:
                 continue
-            factor = rows[i][c] * inv
-            rows[i] = [
-                a - factor * b if j >= c else a
-                for j, (a, b) in enumerate(zip(rows[i], rows[r]))
-            ]
+            factor = row[c] * inv
+            # rows r.. are zero left of column c, so this touches only j >= c
+            for j, b in pivot.items():
+                acc = row[j] - factor * b if j in row else -(factor * b)
+                if acc.is_zero():
+                    del row[j]
+                else:
+                    row[j] = acc
         r += 1
         if r == d:
             break

@@ -2,11 +2,12 @@
 
 The raising generator for row k bumps one entry of row(k) by 1; the
 coefficient attached to bumping position j is a square root of a rational
-built from the shifted entries l[i][r] = row(r)[i] - i.  Lowering mirrors it
-with all shifts reversed, and diagonal generators act by the row-content
-differences.  Invalid targets are skipped before any formula is evaluated;
-for a valid target the denominator is provably nonzero (shifted entries
-within a row are strictly decreasing) and the radicand is positive.
+built from the shifted entries l[i][r] = row(r)[i] - i.  Lowering uses the
+same formula with l[j][k] replaced by l[j][k] - 1, and diagonal generators
+act by the row-content differences.  Invalid targets are skipped before any
+formula is evaluated; for a valid target the denominator is provably nonzero
+(shifted entries within a row are strictly decreasing) and the radicand is
+positive.
 """
 
 from __future__ import annotations
@@ -91,20 +92,25 @@ def _shifted(pattern: GTPattern, r: int) -> list[int]:
     return [e - i for i, e in enumerate(pattern.row(r), start=1)]
 
 
-def act_raise(k: int, xi: GTPattern) -> ModuleVector:
-    """Action of the raising generator on row k: sum over bumpable entries."""
+def _act(k: int, xi: GTPattern, step: int) -> ModuleVector:
+    """Raising (step=1) or lowering (step=-1) generator on row k.
+
+    The lowering coefficient is the raising one with l_jk replaced by
+    l_jk - 1, so one formula serves both.
+    """
+    name, verb = ("raise", "raising") if step > 0 else ("lower", "lowering")
     n = xi.n
     if not 1 <= k <= n - 1:
-        raise ValueError("raise row index %d out of range for n=%d" % (k, n))
+        raise ValueError("%s row index %d out of range for n=%d" % (name, k, n))
     out: dict[GTPattern, RadicalScalar] = {}
     lk = _shifted(xi, k)
     lku = _shifted(xi, k + 1)
     lkd = _shifted(xi, k - 1) if k > 1 else []
     for j in range(1, k + 1):
-        target = xi.replace(k, j, xi.entry(k, j) + 1)
+        target = xi.replace(k, j, xi.entry(k, j) + step)
         if target is None:
             continue
-        ljk = lk[j - 1]
+        ljk = lk[j - 1] if step > 0 else lk[j - 1] - 1
         num = Fraction(-1)
         for li in lku:
             num *= li - ljk
@@ -116,55 +122,27 @@ def act_raise(k: int, xi: GTPattern) -> ModuleVector:
                 den *= (li - ljk) * (li - ljk - 1)
         if den == 0:
             raise InternalConsistencyError(
-                "zero denominator raising row %d of %s at position %d"
-                % (k, xi.to_string(), j)
+                "zero denominator %s row %d of %s at position %d"
+                % (verb, k, xi.to_string(), j)
             )
         radicand = num / den
         if radicand <= 0:
             raise InternalConsistencyError(
-                "nonpositive radicand %s raising row %d of %s at position %d"
-                % (radicand, k, xi.to_string(), j)
+                "nonpositive radicand %s %s row %d of %s at position %d"
+                % (radicand, verb, k, xi.to_string(), j)
             )
         out[target] = sqrt_rational(radicand)
     return ModuleVector(out)
+
+
+def act_raise(k: int, xi: GTPattern) -> ModuleVector:
+    """Action of the raising generator on row k: sum over bumpable entries."""
+    return _act(k, xi, 1)
 
 
 def act_lower(k: int, xi: GTPattern) -> ModuleVector:
     """Action of the lowering generator on row k (adjoint of act_raise)."""
-    n = xi.n
-    if not 1 <= k <= n - 1:
-        raise ValueError("lower row index %d out of range for n=%d" % (k, n))
-    out: dict[GTPattern, RadicalScalar] = {}
-    lk = _shifted(xi, k)
-    lku = _shifted(xi, k + 1)
-    lkd = _shifted(xi, k - 1) if k > 1 else []
-    for j in range(1, k + 1):
-        target = xi.replace(k, j, xi.entry(k, j) - 1)
-        if target is None:
-            continue
-        ljk = lk[j - 1]
-        num = Fraction(-1)
-        for li in lku:
-            num *= li - ljk + 1
-        for li in lkd:
-            num *= li - ljk
-        den = Fraction(1)
-        for i, li in enumerate(lk, start=1):
-            if i != j:
-                den *= (li - ljk + 1) * (li - ljk)
-        if den == 0:
-            raise InternalConsistencyError(
-                "zero denominator lowering row %d of %s at position %d"
-                % (k, xi.to_string(), j)
-            )
-        radicand = num / den
-        if radicand <= 0:
-            raise InternalConsistencyError(
-                "nonpositive radicand %s lowering row %d of %s at position %d"
-                % (radicand, k, xi.to_string(), j)
-            )
-        out[target] = sqrt_rational(radicand)
-    return ModuleVector(out)
+    return _act(k, xi, -1)
 
 
 def act_diag(i: int, xi: GTPattern) -> tuple[int, GTPattern]:
@@ -194,22 +172,39 @@ class GeneratorSpec:
 
 
 class OperatorMatrix:
-    """Dense square matrix of RadicalScalars over the canonical pattern basis.
+    """Square matrix of RadicalScalars over the canonical pattern basis.
 
-    Column j holds the image of the j-th pattern in ascending enumeration
-    order.  ``meta`` optionally remembers (partition, generator label, index)
-    for serialization.
+    Stored by column: ``cols[c]`` maps row index to value for the nonzero
+    entries of column c, the image of the c-th pattern in ascending
+    enumeration order.  ``entries`` is a dense view built on demand.
+    ``meta`` optionally remembers (partition, generator label, index) for
+    serialization.
     """
 
-    __slots__ = ("dim", "entries", "meta")
+    __slots__ = ("dim", "cols", "meta")
 
     def __init__(self, entries, meta=None):
-        entries = tuple(tuple(row) for row in entries)
-        dim = len(entries)
-        if any(len(row) != dim for row in entries):
+        rows = [tuple(row) for row in entries]
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", entries)
+        self._set(
+            [
+                {r: row[c] for r, row in enumerate(rows) if not row[c].is_zero()}
+                for c in range(len(rows))
+            ],
+            meta,
+        )
+
+    @classmethod
+    def from_columns(cls, cols, meta=None) -> "OperatorMatrix":
+        """Build from {row: value} column dicts that hold only nonzero values."""
+        mat = cls.__new__(cls)
+        mat._set(cols, meta)
+        return mat
+
+    def _set(self, cols, meta):
+        object.__setattr__(self, "dim", len(cols))
+        object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "meta", meta)
 
     def __setattr__(self, name, value):
@@ -217,68 +212,78 @@ class OperatorMatrix:
 
     @classmethod
     def zero(cls, dim: int) -> "OperatorMatrix":
-        z = RadicalScalar.zero()
-        return cls([[z] * dim for _ in range(dim)])
+        return cls.from_columns([{} for _ in range(dim)])
 
     @classmethod
     def identity(cls, dim: int) -> "OperatorMatrix":
-        z, one = RadicalScalar.zero(), RadicalScalar.one()
-        return cls([[one if r == c else z for c in range(dim)] for r in range(dim)])
+        return cls.from_columns([{c: RadicalScalar.one()} for c in range(dim)])
+
+    @property
+    def entries(self) -> tuple[tuple[RadicalScalar, ...], ...]:
+        """Dense rows, zeros included."""
+        z = RadicalScalar.zero()
+        rows = [[z] * self.dim for _ in range(self.dim)]
+        for r, c, v in self.nonzeros():
+            rows[r][c] = v
+        return tuple(tuple(row) for row in rows)
 
     def nonzeros(self):
-        """Yield (row, col, value) for every nonzero entry."""
-        for r, row in enumerate(self.entries):
-            for c, v in enumerate(row):
-                if not v.is_zero():
-                    yield r, c, v
+        """Yield (row, col, value) for every nonzero entry, column by column."""
+        for c, col in enumerate(self.cols):
+            for r, v in col.items():
+                yield r, c, v
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.entries for v in row)
+        return not any(self.cols)
 
     def trace(self) -> RadicalScalar:
         acc = RadicalScalar.zero()
-        for i in range(self.dim):
-            acc = acc + self.entries[i][i]
+        for c, col in enumerate(self.cols):
+            if c in col:
+                acc = acc + col[c]
         return acc
 
     def __eq__(self, other):
         return (
             isinstance(other, OperatorMatrix)
             and self.dim == other.dim
-            and self.entries == other.entries
+            and self.cols == other.cols
         )
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-        return OperatorMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            out = dict(a)
+            for r, v in b.items():
+                acc = out[r] - v if r in out else -v
+                if acc.is_zero():
+                    del out[r]
+                else:
+                    out[r] = acc
+            cols.append(out)
+        return OperatorMatrix.from_columns(cols)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-        d = self.dim
-        z = RadicalScalar.zero()
-        # sparse-friendly: only walk nonzero entries
-        left_by_col: list[list[tuple[int, RadicalScalar]]] = [[] for _ in range(d)]
-        for r, c, v in self.nonzeros():
-            left_by_col[c].append((r, v))
-        out = [[z] * d for _ in range(d)]
-        for k, row in enumerate(other.entries):
-            for c, bv in enumerate(row):
-                if bv.is_zero():
-                    continue
-                for r, av in left_by_col[k]:
-                    out[r][c] = out[r][c] + av * bv
-        return OperatorMatrix(out)
+        cols = []
+        for b in other.cols:
+            out: dict[int, RadicalScalar] = {}
+            for k, bv in b.items():
+                for r, av in self.cols[k].items():
+                    prod = av * bv
+                    out[r] = out[r] + prod if r in out else prod
+            cols.append({r: v for r, v in out.items() if not v.is_zero()})
+        return OperatorMatrix.from_columns(cols)
 
     def to_float_array(self):
         """Entries as a nested list of floats (numpy-friendly)."""
-        return [[v.to_float() for v in row] for row in self.entries]
+        rows = [[0.0] * self.dim for _ in range(self.dim)]
+        for r, c, v in self.nonzeros():
+            rows[r][c] = v.to_float()
+        return rows
 
     def __repr__(self):
         label = ""
@@ -292,31 +297,20 @@ def operator_matrix(spec: GeneratorSpec, partition: Partition) -> OperatorMatrix
     spec.check_range(partition.n)
     basis = enumerate_patterns(partition)
     index = {pat: i for i, pat in enumerate(basis)}
-    d = len(basis)
-    z = RadicalScalar.zero()
     cols: list[dict[int, RadicalScalar]] = []
     for pat in basis:
-        if spec.kind == "raise":
-            image = act_raise(spec.index, pat)
+        if spec.kind in ("raise", "lower"):
+            act = act_raise if spec.kind == "raise" else act_lower
+            image = act(spec.index, pat)
             cols.append({index[p]: v for p, v in image.terms.items()})
-        elif spec.kind == "lower":
-            image = act_lower(spec.index, pat)
-            cols.append({index[p]: v for p, v in image.terms.items()})
-        elif spec.kind == "diag":
+        else:
             ev, _ = act_diag(spec.index, pat)
+            if spec.kind == "cartan":
+                ev -= act_diag(spec.index + 1, pat)[0]
             cols.append({index[pat]: RadicalScalar.from_rational(ev)} if ev else {})
-        else:  # cartan
-            ev1, _ = act_diag(spec.index, pat)
-            ev2, _ = act_diag(spec.index + 1, pat)
-            ev = ev1 - ev2
-            cols.append({index[pat]: RadicalScalar.from_rational(ev)} if ev else {})
-    entries = [[z] * d for _ in range(d)]
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            entries[r][c] = v
     kind_label = {"raise": "E", "lower": "F", "diag": "H", "cartan": "cartan"}
     meta = (partition, kind_label[spec.kind], spec.index)
-    return OperatorMatrix(entries, meta=meta)
+    return OperatorMatrix.from_columns(cols, meta=meta)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -324,25 +318,34 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return (a @ b) - (b @ a)
 
 
-def general_element(i: int, j: int, partition: Partition) -> OperatorMatrix:
-    """Matrix of E_{i,j} (i != j); non-adjacent indices via nested brackets.
+def _element_table(
+    partition: Partition, lo: int, hi: int
+) -> dict[tuple[int, int], OperatorMatrix]:
+    """E_{i,j} for every i != j in lo..hi, each built once, bottom-up.
 
     E_{i,j} with |i-j| = 1 is a plain raising/lowering generator; otherwise
     E_{i,j} = [E_{i,k}, E_{k,j}] with k one step from i toward j.
     """
+    mats: dict[tuple[int, int], OperatorMatrix] = {}
+    for k in range(lo, hi):
+        mats[(k, k + 1)] = operator_matrix(GeneratorSpec("raise", k), partition)
+        mats[(k + 1, k)] = operator_matrix(GeneratorSpec("lower", k), partition)
+    for gap in range(2, hi - lo + 1):
+        for i in range(lo, hi - gap + 1):
+            j = i + gap
+            mats[(i, j)] = commutator(mats[(i, i + 1)], mats[(i + 1, j)])
+            mats[(j, i)] = commutator(mats[(j, j - 1)], mats[(j - 1, i)])
+    return mats
+
+
+def general_element(i: int, j: int, partition: Partition) -> OperatorMatrix:
+    """Matrix of E_{i,j} (i != j); non-adjacent indices via nested brackets."""
     n = partition.n
     if i == j:
         raise ValueError("diagonal element requested; use diag/cartan")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices (%d,%d) out of range for n=%d" % (i, j, n))
-    if j == i + 1:
-        return operator_matrix(GeneratorSpec("raise", i), partition)
-    if j == i - 1:
-        return operator_matrix(GeneratorSpec("lower", j), partition)
-    k = i + 1 if j > i else i - 1
-    return commutator(
-        general_element(i, k, partition), general_element(k, j, partition)
-    )
+    return _element_table(partition, min(i, j), max(i, j))[(i, j)]
 
 
 class RelationReport:
@@ -372,16 +375,18 @@ class RelationReport:
 
 
 def _first_difference(a: OperatorMatrix, b: OperatorMatrix) -> str:
-    for r in range(a.dim):
-        for c in range(a.dim):
-            if a.entries[r][c] != b.entries[r][c]:
-                return "first difference at (%d,%d): %s vs %s" % (
-                    r,
-                    c,
-                    a.entries[r][c],
-                    b.entries[r][c],
-                )
-    return ""
+    """Describe the first differing entry in row-major order, or ""."""
+    positions = sorted((r, c) for r, c, _ in (a - b).nonzeros())
+    if not positions:
+        return ""
+    r, c = positions[0]
+    z = RadicalScalar.zero()
+    return "first difference at (%d,%d): %s vs %s" % (
+        r,
+        c,
+        a.cols[c].get(r, z),
+        b.cols[c].get(r, z),
+    )
 
 
 def verify_sln_relations(partition: Partition) -> RelationReport:
@@ -393,11 +398,7 @@ def verify_sln_relations(partition: Partition) -> RelationReport:
     """
     n = partition.n
     report = RelationReport(partition)
-    mats: dict[tuple[int, int], OperatorMatrix] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                mats[(i, j)] = general_element(i, j, partition)
+    mats = _element_table(partition, 1, n)
     diags = {
         i: operator_matrix(GeneratorSpec("diag", i), partition)
         for i in range(1, n + 1)

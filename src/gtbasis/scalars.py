@@ -15,7 +15,7 @@ dict comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import gcd, sqrt
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -139,7 +139,7 @@ class RadicalScalar:
             for d2, c2 in other.terms.items():
                 # sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2) with g = gcd(d1, d2),
                 # and d1*d2/g^2 is squarefree again.
-                g = _gcd(d1, d2)
+                g = gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
                 c = c1 * c2 * g
                 acc = out.get(d, Fraction(0)) + c
@@ -214,31 +214,17 @@ class RadicalScalar:
         return "RadicalScalar(%s)" % (self.terms,)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for d in sorted(self.terms):
             c = self.terms[d]
             if d == 1:
                 text = str(c)
             else:
-                num = c.numerator
-                if num == 1:
-                    text = "√%d" % d
-                elif num == -1:
-                    text = "-√%d" % d
-                else:
-                    text = "%d√%d" % (num, d)
+                text = multiple_text(c.numerator, "√%d" % d)
                 if c.denominator != 1:
                     text += "/%d" % c.denominator
             parts.append(text)
-        out = parts[0]
-        for text in parts[1:]:
-            if text.startswith("-"):
-                out += " - " + text[1:]
-            else:
-                out += " + " + text
-        return out
+        return join_terms(parts)
 
     # -- JSON ------------------------------------------------------------------
 
@@ -262,10 +248,23 @@ class RadicalScalar:
         return cls(terms)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def multiple_text(k: int, symbol: str) -> str:
+    """Integer multiple of a symbol as text: "x", "-x" or "3x"."""
+    if k == 1:
+        return symbol
+    if k == -1:
+        return "-" + symbol
+    return "%d%s" % (k, symbol)
+
+
+def join_terms(parts: list[str]) -> str:
+    """Join term texts with " + ", writing "+ -x" as "- x"; "0" if none."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for text in parts[1:]:
+        out += " - " + text[1:] if text.startswith("-") else " + " + text
+    return out
 
 
 def _some_radicand_prime(x: RadicalScalar) -> int:
@@ -293,10 +292,6 @@ def sqrt_rational(r) -> RadicalScalar:
     p, q = r.numerator, r.denominator
     s, d = squarefree_decompose(p * q)
     return RadicalScalar({d: Fraction(s, q)})
-
-
-def is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
 
 
 # Functional aliases mirroring the method API; handy for map/reduce style code.

@@ -10,6 +10,7 @@ d_i = kappa_i - kappa_{i+1}.
 from __future__ import annotations
 
 from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
+from .scalars import join_terms, multiple_text
 
 
 class WeightVector:
@@ -38,26 +39,7 @@ class WeightVector:
 
     def epsilon_string(self) -> str:
         """Render as a combination of eps_i, e.g. "ε_2 + 2ε_3"."""
-        parts = []
-        for i, k in enumerate(self.kappa, start=1):
-            if k == 0:
-                continue
-            if k == 1:
-                text = "ε_%d" % i
-            elif k == -1:
-                text = "-ε_%d" % i
-            else:
-                text = "%dε_%d" % (k, i)
-            parts.append(text)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for text in parts[1:]:
-            if text.startswith("-"):
-                out += " - " + text[1:]
-            else:
-                out += " + " + text
-        return out
+        return _combination(self.kappa, "ε")
 
     def to_json(self) -> dict:
         return {
@@ -88,26 +70,18 @@ def fundamental_coords(w: WeightVector) -> list[int]:
 
 def fundamental_string(w: WeightVector) -> str:
     """Render the fundamental coordinates as a combination of ω_i."""
-    parts = []
-    for i, d in enumerate(fundamental_coords(w), start=1):
-        if d == 0:
-            continue
-        if d == 1:
-            text = "ω_%d" % i
-        elif d == -1:
-            text = "-ω_%d" % i
-        else:
-            text = "%dω_%d" % (d, i)
-        parts.append(text)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for text in parts[1:]:
-        if text.startswith("-"):
-            out += " - " + text[1:]
-        else:
-            out += " + " + text
-    return out
+    return _combination(fundamental_coords(w), "ω")
+
+
+def _combination(coeffs, symbol: str) -> str:
+    """Σ coeffs[i-1] symbol_i as text, skipping zero coefficients."""
+    return join_terms(
+        [
+            multiple_text(k, "%s_%d" % (symbol, i))
+            for i, k in enumerate(coeffs, start=1)
+            if k
+        ]
+    )
 
 
 def highest_weight(partition: Partition) -> WeightVector:

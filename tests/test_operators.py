@@ -4,12 +4,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gtbasis import operators
 from gtbasis.operators import (
     GeneratorSpec,
     InternalConsistencyError,
     ModuleVector,
     OperatorMatrix,
+    _first_difference,
     act_diag,
     act_lower,
     act_raise,
@@ -306,3 +310,117 @@ def test_matrix_market_threshold_drops_tiny_entries():
 
 def test_internal_consistency_error_is_runtime_error():
     assert issubclass(InternalConsistencyError, RuntimeError)
+
+
+CASIMIR_SCALARS = {
+    (1, 0): 2,
+    (2, 1, 0): 9,
+    (2, 1, 1, 0): 12,
+    (3, 1, 0, 0): 20,
+    (3, 2, 1, 0): 24,
+}
+
+
+def test_casimir_acts_as_scalar():
+    """Σ_{i≠j} E(i,j)E(j,i) + Σ_i H_i H_i = Σ_i m_i(m_i + n + 1 - 2i) · 1."""
+    for parts, expected in CASIMIR_SCALARS.items():
+        partition = Partition(list(parts))
+        n = partition.n
+        assert sum(m * (m + n + 1 - 2 * i) for i, m in enumerate(parts, start=1)) == expected
+        d = len(enumerate_patterns(partition))
+        zero = OperatorMatrix.zero(d)
+        total = zero
+        for i in range(1, n + 1):
+            h = operator_matrix(GeneratorSpec("diag", i), partition)
+            total = total - (zero - h @ h)
+            for j in range(1, n + 1):
+                if i != j:
+                    e_ij = general_element(i, j, partition)
+                    e_ji = general_element(j, i, partition)
+                    total = total - (zero - e_ij @ e_ji)
+        c = RadicalScalar.from_rational(expected)
+        assert total == OperatorMatrix.from_columns([{k: c} for k in range(d)]), parts
+
+
+def test_cancellation_stores_no_zeros():
+    e = operator_matrix(GeneratorSpec("raise", 1), P210)
+    for mat in (e - e, commutator(e, e)):
+        assert list(mat.nonzeros()) == []
+        assert mat == OperatorMatrix.zero(8)
+    f = operator_matrix(GeneratorSpec("lower", 1), P210)
+    h = commutator(e, f)
+    assert all(not v.is_zero() for _, _, v in h.nonzeros())
+
+
+def test_dense_and_column_constructors_agree():
+    for spec in (GeneratorSpec("raise", 2), GeneratorSpec("cartan", 1)):
+        mat = operator_matrix(spec, P210)
+        assert OperatorMatrix(mat.entries) == mat
+        assert OperatorMatrix.from_columns(mat.cols) == mat
+    one, z = RadicalScalar.one(), RadicalScalar.zero()
+    assert OperatorMatrix([[z, one], [z, z]]) == OperatorMatrix.from_columns([{}, {0: one}])
+
+
+SPARSE_VALUES = [
+    RadicalScalar.zero(),
+    RadicalScalar.one(),
+    RadicalScalar({2: 1}),
+    RadicalScalar({3: Fraction(-1, 2)}),
+]
+
+
+@st.composite
+def matrix_pair(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    cell = st.sampled_from(SPARSE_VALUES)
+    grid = st.lists(st.lists(cell, min_size=d, max_size=d), min_size=d, max_size=d)
+    return draw(grid), draw(grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pair())
+def test_sparse_arithmetic_matches_dense_reference(pair):
+    a, b = pair
+    d = len(a)
+    z = RadicalScalar.zero()
+    product = []
+    for r in range(d):
+        row = []
+        for c in range(d):
+            acc = z
+            for k in range(d):
+                acc = acc + a[r][k] * b[k][c]
+            row.append(acc)
+        product.append(tuple(row))
+    difference = [tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
+    ma, mb = OperatorMatrix(a), OperatorMatrix(b)
+    assert (ma @ mb).entries == tuple(product)
+    assert (ma - mb).entries == tuple(difference)
+    assert all(not v.is_zero() for _, _, v in (ma @ mb).nonzeros())
+
+
+def test_relations_build_each_generator_once(monkeypatch):
+    calls = []
+    original = operators.operator_matrix
+
+    def counting(spec, partition):
+        calls.append(spec)
+        return original(spec, partition)
+
+    monkeypatch.setattr(operators, "operator_matrix", counting)
+    for parts in ([1, 0], [2, 1, 0], [2, 1, 1, 0]):
+        calls.clear()
+        n = len(parts)
+        assert verify_sln_relations(Partition(parts)).passed
+        assert len(calls) == 3 * n - 2
+        kinds = [spec.kind for spec in calls]
+        assert kinds.count("raise") == kinds.count("lower") == n - 1
+        assert kinds.count("diag") == n
+
+
+def test_first_difference_is_row_major():
+    one, two, z = RadicalScalar.one(), RadicalScalar.from_rational(2), RadicalScalar.zero()
+    a = OperatorMatrix([[one, z], [one, z]])
+    b = OperatorMatrix([[one, two], [z, z]])
+    assert _first_difference(a, b) == "first difference at (0,1): 0 vs 2"
+    assert _first_difference(a, a) == ""

@@ -13,7 +13,6 @@ from gtbasis.scalars import (
     RadicalScalar,
     add,
     invert,
-    is_perfect_square,
     mul,
     sqrt_rational,
     squarefree_decompose,
@@ -39,12 +38,6 @@ def test_squarefree_decompose_reconstructs():
         assert s * s * d == n
         for p in range(2, int(math.isqrt(d)) + 1):
             assert d % (p * p) != 0
-
-
-def test_is_perfect_square():
-    squares = {k * k for k in range(50)}
-    for n in range(2000):
-        assert is_perfect_square(n) == (n in squares)
 
 
 def test_sqrt_rational_examples():
