@@ -73,7 +73,9 @@ def emit(text: str, output: str | None):
     if not text.endswith("\n"):
         text += "\n"
     if output is None:
-        click.echo(text, nl=False)
+        # an explicit stream: click's default-stream cache keeps every
+        # redirected sys.stdout (and all text written to it) alive
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -112,7 +114,7 @@ def main():
 @click.argument("partition", type=PARTITION)
 def dim(partition):
     """Print the dimension of the module for PARTITION."""
-    click.echo(dimension(partition))
+    emit(str(dimension(partition)), None)
 
 
 @main.command()
@@ -284,7 +286,7 @@ def raise_cmd(partition, pattern_text, fmt, output):
     try:
         lam = verify_raise(xi)
     except CertificationError as exc:
-        click.echo("raise %s: FAIL (%s)" % (xi.to_string(), exc), err=True)
+        click.echo("raise %s: FAIL (%s)" % (xi.to_string(), exc), file=sys.stderr)
         sys.exit(1)
     exponents = "(%s)" % ",".join(str(e) for e in word.exponents_written())
     if fmt == "json":

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .operators import InternalConsistencyError, ModuleVector, OperatorMatrix
+from .operators import (
+    GeneratorSpec,
+    InternalConsistencyError,
+    OperatorMatrix,
+    operator_matrix,
+)
 from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
 from .raising import (
     GeneratorWord,
     alternate_row_order,
-    apply_word,
     canonical_row_order,
     raising_word,
 )
@@ -90,14 +94,40 @@ def monomial_family(partition: Partition, schedule="canonical") -> MonomialFamil
 
 
 def basis_matrix(family: MonomialFamily) -> OperatorMatrix:
-    """Column i = word_i applied to β, over the canonical pattern basis."""
-    basis = enumerate_patterns(family.partition)
-    index = {pat: i for i, pat in enumerate(basis)}
-    beta = highest_pattern(family.partition)
-    cols = []
-    for word in family.words:
-        image = apply_word(word, ModuleVector.unit(beta))
-        cols.append({index[pat]: coeff for pat, coeff in image.terms.items()})
+    """Column i = word_i applied to β, over the canonical pattern basis.
+
+    Each word is expanded into unit steps in application order, so F^a
+    extends F^(a-1).  Visiting the words in sorted step order, every word
+    starts from the longest prefix it shares with the previous one; the
+    stack holds the image of β after each step of the current word.  Each
+    generator matrix is built once, on first use.
+    """
+    partition = family.partition
+    basis = enumerate_patterns(partition)
+    beta = basis.index(highest_pattern(partition))
+    steps = [
+        tuple((spec.kind, spec.index) for spec, exp in reversed(word.factors)
+              for _ in range(exp))
+        for word in family.words
+    ]
+    mats: dict[tuple[str, int], OperatorMatrix] = {}
+    cols: list = [None] * len(steps)
+    path: tuple[tuple[str, int], ...] = ()
+    stack = [{beta: RadicalScalar.one()}]
+    for i in sorted(range(len(steps)), key=steps.__getitem__):
+        word = steps[i]
+        shared = 0
+        for a, b in zip(path, word):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        for step in word[shared:]:
+            if step not in mats:
+                mats[step] = operator_matrix(GeneratorSpec(*step), partition)
+            stack.append(mats[step].apply(stack[-1]))
+        path = word
+        cols[i] = stack[-1]
     return OperatorMatrix.from_columns(cols)
 
 

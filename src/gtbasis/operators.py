@@ -268,15 +268,19 @@ class OperatorMatrix:
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-        cols = []
-        for b in other.cols:
-            out: dict[int, RadicalScalar] = {}
-            for k, bv in b.items():
-                for r, av in self.cols[k].items():
-                    prod = av * bv
-                    out[r] = out[r] + prod if r in out else prod
-            cols.append({r: v for r, v in out.items() if not v.is_zero()})
-        return OperatorMatrix.from_columns(cols)
+        return OperatorMatrix.from_columns([self.apply(b) for b in other.cols])
+
+    def apply(self, vec: dict[int, RadicalScalar]) -> dict[int, RadicalScalar]:
+        """Image of the sparse vector {index: value}: a combination of columns.
+
+        Only nonzero values are kept in the result.
+        """
+        out: dict[int, RadicalScalar] = {}
+        for k, bv in vec.items():
+            for r, av in self.cols[k].items():
+                prod = av * bv
+                out[r] = out[r] + prod if r in out else prod
+        return {r: v for r, v in out.items() if not v.is_zero()}
 
     def to_float_array(self):
         """Entries as a nested list of floats (numpy-friendly)."""

@@ -149,13 +149,33 @@ class GTPattern:
         return tuple(e for row in self.rows for e in row)
 
     def replace(self, k: int, i: int, value: int) -> "GTPattern | None":
-        """Copy with entry (k, i) set to value, or None if that is invalid."""
-        rows = [list(row) for row in self.rows]
-        rows[k - 1][i - 1] = value
-        try:
-            return GTPattern(rows, self.partition)
-        except ValueError:
+        """Copy with entry (k, i) set to value, or None if that is invalid.
+
+        Only the interleaving inequalities that involve entry (k, i) can
+        change, so only those are checked; the top row is the partition and
+        stays fixed.
+        """
+        rows = self.rows
+        if not (1 <= k <= len(rows) and 1 <= i <= k):
+            raise IndexError("no entry (%d, %d) in a pattern with %d rows"
+                             % (k, i, len(rows)))
+        value = int(value)
+        row = rows[k - 1]
+        if k == len(rows):
+            return self if value == row[i - 1] else None
+        upper = rows[k]
+        if not upper[i - 1] >= value >= upper[i]:
             return None
+        if k > 1:
+            lower = rows[k - 2]
+            if (i < k and value < lower[i - 1]) or (i > 1 and value > lower[i - 2]):
+                return None
+        out = GTPattern.__new__(GTPattern)
+        object.__setattr__(
+            out, "rows",
+            rows[:k - 1] + (row[:i - 1] + (value,) + row[i:],) + rows[k:],
+        )
+        return out
 
     def content(self, k: int) -> int:
         """Sum of row(k); content(0) is the empty sum."""

@@ -192,10 +192,12 @@ def apply_generator(spec: GeneratorSpec, v: ModuleVector) -> ModuleVector:
         act = act_lower
     else:
         raise ValueError("only raise/lower generators act in words")
-    out = ModuleVector()
+    out: dict[GTPattern, RadicalScalar] = {}
     for pat, coeff in v.terms.items():
-        out = out + act(spec.index, pat).scale(coeff)
-    return out
+        for target, c in act(spec.index, pat).terms.items():
+            prod = c * coeff
+            out[target] = out[target] + prod if target in out else prod
+    return ModuleVector(out)
 
 
 def apply_word(word: GeneratorWord, v: ModuleVector) -> ModuleVector:

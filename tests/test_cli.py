@@ -5,13 +5,17 @@ formats, file output, and the exit-code contract (0 success/certified,
 1 verification failure, 2 usage or parse errors).
 """
 
+import contextlib
+import gc
+import io
 import json
 import subprocess
 import sys
+import weakref
 
 from click.testing import CliRunner
 
-from gtbasis.cli import main
+from gtbasis.cli import emit, main
 from gtbasis.operators import (
     GeneratorSpec,
     matrix_from_json,
@@ -294,3 +298,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"
+
+
+def test_emit_keeps_no_reference_to_a_redirected_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        emit("verdict", None)
+    assert buf.getvalue() == "verdict\n"
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gtbasis import monomials, raising
 from gtbasis.monomials import (
     UnsupportedScheduleError,
     basis_matrix,
@@ -110,16 +111,64 @@ def test_basis_matrix_identity_column():
     assert all(col[r].is_zero() for r in range(8) if r != beta_index)
 
 
+def _word_by_word(family):
+    """Reference basis matrix: each word applied to β on its own."""
+    pats = enumerate_patterns(family.partition)
+    index = {p: i for i, p in enumerate(pats)}
+    beta = ModuleVector.unit(highest_pattern(family.partition))
+    cols = []
+    for word in family.words:
+        image = apply_word(word, beta)
+        cols.append({index[p]: v for p, v in image.terms.items()})
+    return OperatorMatrix.from_columns(cols)
+
+
 def test_basis_matrix_columns_are_word_images():
-    family = monomial_family(P110, "canonical")
-    mat = basis_matrix(family)
-    pats = enumerate_patterns(P110)
-    beta = highest_pattern(P110)
-    for c, word in enumerate(family.words):
-        image = apply_word(word, ModuleVector.unit(beta))
-        for r, target in enumerate(pats):
-            assert mat.entries[r][c] == image.coeff(target)
-    assert rank(mat) == 3
+    for parts, schedule in (
+        ([1, 1, 0], "canonical"),
+        ([2, 1, 0], "canonical"),
+        ([3, 1, 0], "canonical"),
+        ([2, 1, 1, 0], "canonical"),
+        ([3, 2, 1, 0], "canonical"),
+        ([2, 1, 1, 1, 0], "canonical"),
+        ([3, 1, 0], "alternate"),  # duplicate words
+        ([6, 3, 0], "alternate"),
+        ([3, 2, 0], [1, 2, 2, 1, 1]),
+    ):
+        family = monomial_family(Partition(parts), schedule)
+        assert basis_matrix(family) == _word_by_word(family), (parts, schedule)
+    assert rank(basis_matrix(monomial_family(P110, "canonical"))) == 3
+
+
+def test_basis_matrix_builds_each_lowering_matrix_once(monkeypatch):
+    calls = []
+    original = monomials.operator_matrix
+
+    def counting(spec, partition):
+        calls.append(spec)
+        return original(spec, partition)
+
+    def forbidden(*args):
+        raise AssertionError("basis_matrix applied a word pattern by pattern")
+
+    monkeypatch.setattr(monomials, "operator_matrix", counting)
+    monkeypatch.setattr(raising, "apply_word", forbidden)
+    monkeypatch.setattr(raising, "apply_generator", forbidden)
+    for parts, schedule in (
+        ([1, 0], "canonical"),
+        ([2, 1, 0], "canonical"),
+        ([3, 1, 0], "alternate"),
+        ([2, 1, 1, 0], "canonical"),
+        ([3, 2, 1, 0, 0], "canonical"),
+    ):
+        calls.clear()
+        n = len(parts)
+        basis_matrix(monomial_family(Partition(parts), schedule))
+        assert sorted(spec.index for spec in calls) == list(range(1, n))
+        assert {spec.kind for spec in calls} == {"lower"}
+    calls.clear()
+    basis_matrix(monomial_family(P210, [1, 1]))
+    assert [(spec.kind, spec.index) for spec in calls] == [("lower", 1)]
 
 
 def test_column_weight_matches_source_pattern():

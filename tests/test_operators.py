@@ -399,6 +399,14 @@ def test_sparse_arithmetic_matches_dense_reference(pair):
     assert all(not v.is_zero() for _, _, v in (ma @ mb).nonzeros())
 
 
+def test_apply_combines_columns_and_drops_zeros():
+    one, two = RadicalScalar.one(), RadicalScalar.from_rational(2)
+    mat = OperatorMatrix([[one, one], [one, -one]])
+    assert mat.apply({0: one, 1: one}) == {0: two}
+    assert mat.apply({1: two}) == {0: two, 1: -two}
+    assert mat.apply({}) == {}
+
+
 def test_relations_build_each_generator_once(monkeypatch):
     calls = []
     original = operators.operator_matrix

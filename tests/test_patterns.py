@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtbasis.patterns import (
     GTPattern,
@@ -86,6 +88,50 @@ def test_pattern_replace():
     assert raised == pat(P210, "1,0;1")
     assert xi.replace(1, 1, -1) is None
     assert xi.replace(2, 1, 2) == pat(P210, "2,0;0")
+
+
+def _replace_reference(xi, k, i, value):
+    """Set one entry, then validate the whole triangle."""
+    rows = [list(row) for row in xi.rows]
+    rows[k - 1][i - 1] = value
+    try:
+        return GTPattern(rows, xi.partition)
+    except ValueError:
+        return None
+
+
+@st.composite
+def _replacements(draw):
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1))
+    parts = [sum(gaps[j:]) for j in range(n - 1)] + [0]
+    rows = [parts]  # top-down, each row interleaving the one above it
+    for size in range(n - 1, 0, -1):
+        upper = rows[-1]
+        rows.append([draw(st.integers(upper[j + 1], upper[j])) for j in range(size)])
+    xi = GTPattern(reversed(rows))
+    k = draw(st.integers(1, n))
+    i = draw(st.integers(1, k))
+    value = draw(st.integers(-2, parts[0] + 2))
+    return xi, k, i, value
+
+
+@settings(max_examples=400, deadline=None)
+@given(_replacements())
+def test_replace_matches_full_validation(case):
+    xi, k, i, value = case
+    got = xi.replace(k, i, value)
+    want = _replace_reference(xi, k, i, value)
+    assert got == want
+    if got is not None:
+        assert got.key() == want.key() and hash(got) == hash(want)
+
+
+def test_replace_rejects_positions_outside_the_triangle():
+    xi = highest_pattern(P210)
+    for k, i in ((0, 1), (4, 1), (2, 3), (2, 0)):
+        with pytest.raises(IndexError):
+            xi.replace(k, i, 0)
 
 
 def test_enumerate_110_exact_set():
