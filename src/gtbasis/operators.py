@@ -111,12 +111,12 @@ def _act(k: int, xi: GTPattern, step: int) -> ModuleVector:
         if target is None:
             continue
         ljk = lk[j - 1] if step > 0 else lk[j - 1] - 1
-        num = Fraction(-1)
+        num = -1
         for li in lku:
             num *= li - ljk
         for li in lkd:
             num *= li - ljk - 1
-        den = Fraction(1)
+        den = 1
         for i, li in enumerate(lk, start=1):
             if i != j:
                 den *= (li - ljk) * (li - ljk - 1)
@@ -125,7 +125,7 @@ def _act(k: int, xi: GTPattern, step: int) -> ModuleVector:
                 "zero denominator %s row %d of %s at position %d"
                 % (verb, k, xi.to_string(), j)
             )
-        radicand = num / den
+        radicand = Fraction(num, den)
         if radicand <= 0:
             raise InternalConsistencyError(
                 "nonpositive radicand %s %s row %d of %s at position %d"
@@ -251,23 +251,13 @@ class OperatorMatrix:
         )
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            out = dict(a)
-            for r, v in b.items():
-                acc = out[r] - v if r in out else -v
-                if acc.is_zero():
-                    del out[r]
-                else:
-                    out[r] = acc
-            cols.append(out)
-        return OperatorMatrix.from_columns(cols)
+        _check_dims(self, other)
+        return OperatorMatrix.from_columns(
+            [_subtract_into(dict(a), b) for a, b in zip(self.cols, other.cols)]
+        )
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
+        _check_dims(self, other)
         return OperatorMatrix.from_columns([self.apply(b) for b in other.cols])
 
     def apply(self, vec: dict[int, RadicalScalar]) -> dict[int, RadicalScalar]:
@@ -279,7 +269,8 @@ class OperatorMatrix:
         for k, bv in vec.items():
             for r, av in self.cols[k].items():
                 prod = av * bv
-                out[r] = out[r] + prod if r in out else prod
+                acc = out.get(r)
+                out[r] = prod if acc is None else acc + prod
         return {r: v for r, v in out.items() if not v.is_zero()}
 
     def to_float_array(self):
@@ -294,6 +285,28 @@ class OperatorMatrix:
         if self.meta:
             label = " %s" % (self.meta,)
         return "OperatorMatrix(dim=%d%s)" % (self.dim, label)
+
+
+def _check_dims(a: OperatorMatrix, b: OperatorMatrix):
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
+
+
+def _subtract_into(
+    out: dict[int, RadicalScalar], col: dict[int, RadicalScalar]
+) -> dict[int, RadicalScalar]:
+    """Subtract the sparse column col from out in place, dropping zeros."""
+    for r, v in col.items():
+        acc = out.get(r)
+        if acc is None:
+            out[r] = -v
+        else:
+            acc = acc - v
+            if acc.is_zero():
+                del out[r]
+            else:
+                out[r] = acc
+    return out
 
 
 def operator_matrix(spec: GeneratorSpec, partition: Partition) -> OperatorMatrix:
@@ -318,8 +331,11 @@ def operator_matrix(spec: GeneratorSpec, partition: Partition) -> OperatorMatrix
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """A@B - B@A, exact."""
-    return (a @ b) - (b @ a)
+    """A@B - B@A, exact, built column by column: A(B e_c) - B(A e_c)."""
+    _check_dims(a, b)
+    return OperatorMatrix.from_columns(
+        [_subtract_into(a.apply(bc), b.apply(ac)) for ac, bc in zip(a.cols, b.cols)]
+    )
 
 
 def _element_table(

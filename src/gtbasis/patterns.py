@@ -170,11 +170,15 @@ class GTPattern:
             lower = rows[k - 2]
             if (i < k and value < lower[i - 1]) or (i > 1 and value > lower[i - 2]):
                 return None
-        out = GTPattern.__new__(GTPattern)
-        object.__setattr__(
-            out, "rows",
-            rows[:k - 1] + (row[:i - 1] + (value,) + row[i:],) + rows[k:],
+        return GTPattern._trusted(
+            rows[:k - 1] + (row[:i - 1] + (value,) + row[i:],) + rows[k:]
         )
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "GTPattern":
+        """Wrap int-tuple rows known to be a valid, normalized pattern, unchecked."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "rows", rows)
         return out
 
     def content(self, k: int) -> int:
@@ -245,9 +249,10 @@ def compare(a: GTPattern, b: GTPattern) -> int:
 def enumerate_patterns(partition: Partition) -> list[GTPattern]:
     """All patterns of the partition, ascending in the canonical order."""
     n = partition.n
-    triangles: list[list[tuple[int, ...]]] = [[partition.parts]]
+    triangles: list[tuple[tuple[int, ...], ...]] = [(partition.parts,)]
     # fill rows n-1 down to 1; entry i of the new row ranges between its
-    # interleaving bounds from the row above
+    # interleaving bounds from the row above, so every triangle built here
+    # is valid by construction
     for k in range(n - 1, 0, -1):
         grown = []
         for rows in triangles:
@@ -257,9 +262,9 @@ def enumerate_patterns(partition: Partition) -> list[GTPattern]:
                 lo, hi = upper[i + 1], upper[i]
                 choices = [c + [v] for c in choices for v in range(lo, hi + 1)]
             for c in choices:
-                grown.append([tuple(c)] + rows)
+                grown.append((tuple(c),) + rows)
         triangles = grown
-    out = [GTPattern(rows) for rows in triangles]
+    out = [GTPattern._trusted(rows) for rows in triangles]
     out.sort(key=GTPattern.key)
     return out
 

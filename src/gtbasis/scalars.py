@@ -110,55 +110,77 @@ class RadicalScalar:
             return NotImplemented
         out = dict(self.terms)
         for d, c in other.terms.items():
-            acc = out.get(d, Fraction(0)) + c
-            if acc == 0:
-                out.pop(d, None)
+            acc = out.get(d)
+            if acc is None:
+                out[d] = c
             else:
-                out[d] = acc
-        res = RadicalScalar.__new__(RadicalScalar)
-        object.__setattr__(res, "terms", out)
-        return res
+                acc += c
+                if acc:
+                    out[d] = acc
+                else:
+                    del out[d]
+        return _make(out)
 
     def __neg__(self) -> "RadicalScalar":
-        res = RadicalScalar.__new__(RadicalScalar)
-        object.__setattr__(res, "terms", {d: -c for d, c in self.terms.items()})
-        return res
+        return _make({d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other: "RadicalScalar") -> "RadicalScalar":
         if not isinstance(other, RadicalScalar):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for d, c in other.terms.items():
+            acc = out.get(d)
+            if acc is None:
+                out[d] = -c
+            else:
+                acc -= c
+                if acc:
+                    out[d] = acc
+                else:
+                    del out[d]
+        return _make(out)
 
     def __mul__(self, other: "RadicalScalar") -> "RadicalScalar":
         if not isinstance(other, RadicalScalar):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return RadicalScalar()
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _make({})
+        # sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2) with g = gcd(d1, d2), and
+        # d1*d2/g^2 is squarefree again.
+        if len(a) == 1 and len(b) == 1:
+            # c1*c2*g as one Fraction: a single normalization
+            ((d1, c1),) = a.items()
+            ((d2, c2),) = b.items()
+            g = gcd(d1, d2)
+            return _make({
+                (d1 // g) * (d2 // g): Fraction(
+                    c1.numerator * c2.numerator * g, c1.denominator * c2.denominator
+                )
+            })
         out: dict[int, Fraction] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                # sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2) with g = gcd(d1, d2),
-                # and d1*d2/g^2 is squarefree again.
+        for d1, c1 in a.items():
+            for d2, c2 in b.items():
                 g = gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
                 c = c1 * c2 * g
-                acc = out.get(d, Fraction(0)) + c
-                if acc == 0:
-                    out.pop(d, None)
+                acc = out.get(d)
+                if acc is None:
+                    out[d] = c
                 else:
-                    out[d] = acc
-        res = RadicalScalar.__new__(RadicalScalar)
-        object.__setattr__(res, "terms", out)
-        return res
+                    acc += c
+                    if acc:
+                        out[d] = acc
+                    else:
+                        del out[d]
+        return _make(out)
 
     def scale(self, r) -> "RadicalScalar":
         """Multiply by a plain rational (cheaper than a full mul)."""
         r = _as_fraction(r)
         if r == 0:
-            return RadicalScalar()
-        res = RadicalScalar.__new__(RadicalScalar)
-        object.__setattr__(res, "terms", {d: c * r for d, c in self.terms.items()})
-        return res
+            return _make({})
+        return _make({d: c * r for d, c in self.terms.items()})
 
     # -- field structure ---------------------------------------------------
 
@@ -181,8 +203,7 @@ class RadicalScalar:
             conj_terms = {
                 d: (-c if d % p == 0 else c) for d, c in den.terms.items()
             }
-            conj = RadicalScalar.__new__(RadicalScalar)
-            object.__setattr__(conj, "terms", conj_terms)
+            conj = _make(conj_terms)
             num = num * conj
             den = den * conj
         return num.scale(1 / den.rational_part)
@@ -248,6 +269,17 @@ class RadicalScalar:
         return cls(terms)
 
 
+# The slot's own setter: RadicalScalar.__setattr__ refuses every assignment.
+_set_terms = RadicalScalar.terms.__set__
+
+
+def _make(terms: dict[int, Fraction]) -> RadicalScalar:
+    """Wrap a dict that is already canonical: squarefree keys, nonzero Fractions."""
+    res = RadicalScalar.__new__(RadicalScalar)
+    _set_terms(res, terms)
+    return res
+
+
 def multiple_text(k: int, symbol: str) -> str:
     """Integer multiple of a symbol as text: "x", "-x" or "3x"."""
     if k == 1:
@@ -291,7 +323,7 @@ def sqrt_rational(r) -> RadicalScalar:
         return RadicalScalar()
     p, q = r.numerator, r.denominator
     s, d = squarefree_decompose(p * q)
-    return RadicalScalar({d: Fraction(s, q)})
+    return _make({d: Fraction(s, q)})
 
 
 # Functional aliases mirroring the method API; handy for map/reduce style code.

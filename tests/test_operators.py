@@ -383,20 +383,30 @@ def test_sparse_arithmetic_matches_dense_reference(pair):
     a, b = pair
     d = len(a)
     z = RadicalScalar.zero()
-    product = []
-    for r in range(d):
-        row = []
-        for c in range(d):
-            acc = z
-            for k in range(d):
-                acc = acc + a[r][k] * b[k][c]
-            row.append(acc)
-        product.append(tuple(row))
-    difference = [tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
+
+    def product(x, y):
+        out = []
+        for r in range(d):
+            row = []
+            for c in range(d):
+                acc = z
+                for k in range(d):
+                    acc = acc + x[r][k] * y[k][c]
+                row.append(acc)
+            out.append(tuple(row))
+        return tuple(out)
+
+    def difference(x, y):
+        return tuple(tuple(p - q for p, q in zip(rx, ry)) for rx, ry in zip(x, y))
+
     ma, mb = OperatorMatrix(a), OperatorMatrix(b)
-    assert (ma @ mb).entries == tuple(product)
-    assert (ma - mb).entries == tuple(difference)
+    assert (ma @ mb).entries == product(a, b)
+    assert (ma - mb).entries == difference(a, b)
     assert all(not v.is_zero() for _, _, v in (ma @ mb).nonzeros())
+    # equality of the stored columns: the commutator keeps no zeros either
+    assert commutator(ma, mb) == OperatorMatrix(
+        difference(product(a, b), product(b, a))
+    )
 
 
 def test_apply_combines_columns_and_drops_zeros():

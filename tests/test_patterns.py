@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtbasis import patterns
 from gtbasis.patterns import (
     GTPattern,
     Partition,
@@ -165,9 +166,29 @@ def test_dimension_examples():
 
 
 def test_dimension_equals_enumeration_exhaustive():
-    for n, max_m1 in ((2, 4), (3, 4), (4, 4)):
-        for p in all_partitions(n, max_m1):
-            assert dimension(p) == len(enumerate_patterns(p)), p
+    # enumeration skips validation, so every pattern is checked here against
+    # a validating construction
+    extra = [Partition([2, 1, 1, 1, 0])]
+    for p in [q for n in (2, 3, 4) for q in all_partitions(n, 4)] + extra:
+        pats = enumerate_patterns(p)
+        assert dimension(p) == len(pats), p
+        assert all(GTPattern(q.rows) == q for q in pats), p
+        keys = [q.key() for q in pats]
+        assert all(a < b for a, b in zip(keys, keys[1:])), p
+
+
+def test_enumerate_patterns_never_validates(monkeypatch):
+    calls = []
+    original = patterns.validate
+
+    def counting(rows, partition):
+        calls.append(rows)
+        return original(rows, partition)
+
+    monkeypatch.setattr(patterns, "validate", counting)
+    for p in (P210, Partition([2, 1, 1, 0]), Partition([0, 0, 0])):
+        enumerate_patterns(p)
+    assert calls == []
 
 
 def test_dimension_n2_closed_form():

@@ -214,9 +214,58 @@ def test_field_axioms_hypothesis(a, b, c):
         assert a * a.invert() == ONE
 
 
+one_term_strategy = st.builds(
+    RadicalScalar,
+    st.dictionaries(
+        st.integers(min_value=1, max_value=200),
+        st.fractions(
+            min_value=-50, max_value=50, max_denominator=20
+        ).filter(lambda f: f != 0),
+        min_size=1,
+        max_size=1,
+    ),
+)
+
+
+def reference_terms(signed_products):
+    """{d: c} for sum(c1*c2*sqrt(d1*d2)) over (c1, d1, c2, d2), dropping zeros."""
+    acc = {}
+    for c1, d1, c2, d2 in signed_products:
+        s, d = squarefree_decompose(d1 * d2)
+        acc[d] = acc.get(d, Fraction(0)) + c1 * c2 * s
+    return {d: c for d, c in acc.items() if c != 0}
+
+
+def assert_canonical(x):
+    for d, c in x.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert squarefree_decompose(d) == (1, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(one_term_strategy, scalar_strategy),
+    st.one_of(one_term_strategy, scalar_strategy),
+)
+def test_kernels_match_reference(a, b):
+    ta = [(c, d, 1, 1) for d, c in a.terms.items()]
+    tb = [(c, d, 1, 1) for d, c in b.terms.items()]
+    neg_b = [(-c, d, 1, 1) for d, c in b.terms.items()]
+    prod = [(c1, d1, c2, d2) for d1, c1 in a.terms.items() for d2, c2 in b.terms.items()]
+    for got, want in (
+        (a * b, reference_terms(prod)),
+        (a + b, reference_terms(ta + tb)),
+        (a - b, reference_terms(ta + neg_b)),
+        (-b, reference_terms(neg_b)),
+    ):
+        assert got.terms == want
+        assert_canonical(got)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.fractions(min_value=0, max_value=10000, max_denominator=500))
 def test_sqrt_round_trip_hypothesis(r):
     root = sqrt_rational(r)
     assert root * root == RadicalScalar.from_rational(r)
     assert abs(to_float(root) - math.sqrt(float(r))) < 1e-9
+    assert_canonical(root)
