@@ -15,6 +15,7 @@ from .operators import (
     GeneratorSpec,
     InternalConsistencyError,
     OperatorMatrix,
+    _subtract_into,
     operator_matrix,
 )
 from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
@@ -132,50 +133,31 @@ def basis_matrix(family: MonomialFamily) -> OperatorMatrix:
 
 
 def rank(mat: OperatorMatrix) -> int:
-    """Exact rank by Gaussian elimination, cross-checked in floating point.
+    """Exact rank by column reduction, cross-checked in floating point.
 
-    Rows are sparse {col: value} dicts.  Pivots prefer entries with few
-    radical terms to keep the arithmetic small; division is exact via
-    RadicalScalar.invert.  The float check counts singular values above
-    1e-9, and any disagreement is an internal error — the two computations
-    share no code.
+    Columns are reduced in order: while a column's leading (smallest) row
+    index is the leading row of a kept column, that column's multiple is
+    subtracted; what remains, if anything, is kept under its new leading
+    row.  The rank is the number of kept columns.  A lower-triangular
+    matrix with nonzero diagonal, such as every canonical family, keeps
+    each column as it is, with no division.  The float check counts
+    singular values above 1e-9, and any disagreement is an internal
+    error — the two computations share no code.
     """
     import numpy as np
 
-    d = mat.dim
-    rows: list[dict[int, RadicalScalar]] = [{} for _ in range(d)]
-    for i, c, v in mat.nonzeros():
-        rows[i][c] = v
-    r = 0
-    for c in range(d):
-        pivot_at = None
-        for i in range(r, d):
-            if c in rows[i]:
-                if pivot_at is None or len(rows[i][c].terms) < len(
-                    rows[pivot_at][c].terms
-                ):
-                    pivot_at = i
-        if pivot_at is None:
-            continue
-        rows[r], rows[pivot_at] = rows[pivot_at], rows[r]
-        pivot = rows[r]
-        inv = pivot[c].invert()
-        for i in range(r + 1, d):
-            row = rows[i]
-            if c not in row:
-                continue
-            factor = row[c] * inv
-            # rows r.. are zero left of column c, so this touches only j >= c
-            for j, b in pivot.items():
-                acc = row[j] - factor * b if j in row else -(factor * b)
-                if acc.is_zero():
-                    del row[j]
-                else:
-                    row[j] = acc
-        r += 1
-        if r == d:
-            break
-    exact = r
+    kept: dict[int, dict[int, RadicalScalar]] = {}  # leading row -> column
+    for col in mat.cols:
+        v = dict(col)
+        lead = min(v, default=None)
+        while lead in kept:
+            piv = kept[lead]
+            factor = v[lead] * piv[lead].invert()
+            _subtract_into(v, {r: factor * b for r, b in piv.items()})
+            lead = min(v, default=None)
+        if v:
+            kept[lead] = v
+    exact = len(kept)
 
     sv = np.linalg.svd(np.array(mat.to_float_array(), dtype=float), compute_uv=False)
     approx = int((sv > 1e-9).sum()) if sv.size else 0

@@ -1,8 +1,11 @@
 """Lowering-monomial families, exact rank, and the basis verdict."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtbasis import monomials, raising
 from gtbasis.monomials import (
@@ -184,21 +187,116 @@ def test_column_weight_matches_source_pattern():
                 assert weight_of(t) == weight_of(source)
 
 
-def test_canonical_rank_equals_dimension_exhaustive():
-    for n, max_m1 in ((2, 4), (3, 4)):
-        for partition in all_partitions(n, max_m1):
-            family = monomial_family(partition, "canonical")
-            d = len(family.patterns)
-            assert rank(basis_matrix(family)) == d, partition
+def test_canonical_rank_equals_dimension_exhaustive(monkeypatch):
+    """Canonical basis matrices are lower-triangular with nonzero diagonal,
+    so the column reduction keeps every column without a division."""
+    invert_calls = []
+    original = RadicalScalar.invert
+
+    def counting(self):
+        invert_calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RadicalScalar, "invert", counting)
+    partitions = [p for n, max_m1 in ((2, 4), (3, 4), (4, 3))
+                  for p in all_partitions(n, max_m1)]
+    for partition in partitions + [Partition([2, 1, 1, 1, 0])]:
+        family = monomial_family(partition, "canonical")
+        d = len(family.patterns)
+        mat = basis_matrix(family)
+        for c, col in enumerate(mat.cols):
+            assert min(col) == c, (partition, c)
+        invert_calls.clear()
+        assert rank(mat) == d, partition
+        assert invert_calls == [], partition
 
 
 def test_duplicates_imply_rank_deficit():
-    for partition in all_partitions(3, 4):
+    extra = [Partition(parts) for parts in ([6, 3, 0], [7, 3, 0], [8, 4, 0])]
+    for partition in all_partitions(3, 4) + extra:
         family = monomial_family(partition, "alternate")
         r = rank(basis_matrix(family))
-        assert r <= family.distinct_count
+        assert r == family.distinct_count, partition
         if family.distinct_count < len(family.patterns):
             assert r < len(family.patterns)
+
+
+def _reference_rank(mat):
+    """Pivoting row elimination on sparse {col: value} rows, kept as an
+    independent oracle for the column reduction in rank."""
+    d = mat.dim
+    rows = [{} for _ in range(d)]
+    for i, c, v in mat.nonzeros():
+        rows[i][c] = v
+    r = 0
+    for c in range(d):
+        pivot_at = None
+        for i in range(r, d):
+            if c in rows[i]:
+                if pivot_at is None or len(rows[i][c].terms) < len(
+                    rows[pivot_at][c].terms
+                ):
+                    pivot_at = i
+        if pivot_at is None:
+            continue
+        rows[r], rows[pivot_at] = rows[pivot_at], rows[r]
+        pivot = rows[r]
+        inv = pivot[c].invert()
+        for i in range(r + 1, d):
+            row = rows[i]
+            if c not in row:
+                continue
+            factor = row[c] * inv
+            for j, b in pivot.items():
+                acc = row[j] - factor * b if j in row else -(factor * b)
+                if acc.is_zero():
+                    del row[j]
+                else:
+                    row[j] = acc
+        r += 1
+    return r
+
+
+_ENTRIES = (
+    RadicalScalar.zero(),
+    RadicalScalar.one(),
+    RadicalScalar({2: 1}),
+    RadicalScalar({3: Fraction(-1, 2)}),
+    RadicalScalar({1: 1, 6: 1}),
+    RadicalScalar.from_rational(Fraction(2, 3)),
+)
+
+
+@st.composite
+def _dependent_matrices(draw):
+    """Square matrices whose columns are random, then duplicated, scaled by
+    a radical, summed pairwise or zero, in shuffled order."""
+    d = draw(st.integers(1, 6))
+    entry = st.sampled_from(_ENTRIES)
+    cols = [draw(st.lists(entry, min_size=d, max_size=d))
+            for _ in range(draw(st.integers(0, d)))]
+    while len(cols) < d:
+        kind = draw(st.sampled_from(("duplicate", "multiple", "sum", "zero")))
+        if kind == "zero" or not cols:
+            cols.append([RadicalScalar.zero()] * d)
+        elif kind == "duplicate":
+            cols.append(list(draw(st.sampled_from(cols))))
+        elif kind == "multiple":
+            m = draw(st.sampled_from(_ENTRIES[1:]))
+            cols.append([m * x for x in draw(st.sampled_from(cols))])
+        else:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            cols.append([x + y for x, y in zip(a, b)])
+    cols = draw(st.permutations(cols))
+    return OperatorMatrix.from_columns(
+        [{r: v for r, v in enumerate(col) if not v.is_zero()} for col in cols]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dependent_matrices())
+def test_rank_matches_reference_elimination(mat):
+    assert rank(mat) == _reference_rank(mat)
 
 
 def test_rank_edge_cases():
