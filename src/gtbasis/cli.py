@@ -19,6 +19,7 @@ from .monomials import (
     rank,
 )
 from .operators import (
+    GTModule,
     GeneratorSpec,
     OperatorMatrix,
     matrix_market,
@@ -177,8 +178,9 @@ def matrix(partition, generator, index, fmt, output):
 @output_option
 def verify(partition, fmt, output):
     """Check every bracket relation and certify simplicity."""
-    report = verify_sln_relations(partition)
-    cert = simplicity_certificate(partition)
+    module = GTModule(partition)
+    report = verify_sln_relations(partition, module)
+    cert = simplicity_certificate(partition, module)
     if fmt == "json":
         doc = {
             "partition": list(partition.parts),

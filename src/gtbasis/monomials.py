@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .operators import (
-    GeneratorSpec,
+    GTModule,
     InternalConsistencyError,
     OperatorMatrix,
     _subtract_into,
-    operator_matrix,
 )
-from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
+from .patterns import GTPattern, Partition, enumerate_patterns
 from .raising import (
     GeneratorWord,
     alternate_row_order,
@@ -78,10 +77,16 @@ class MonomialFamily:
         return [(i, d) for i, d in enumerate(self.duplicate_of) if d is not None]
 
 
-def monomial_family(partition: Partition, schedule="canonical") -> MonomialFamily:
-    """Build the family for a schedule, flagging duplicated words."""
+def monomial_family(
+    partition: Partition, schedule="canonical", basis: list[GTPattern] | None = None
+) -> MonomialFamily:
+    """Build the family for a schedule, flagging duplicated words.
+
+    ``basis`` is the already enumerated pattern basis, if the caller has it.
+    """
     name, order = resolve_schedule(partition.n, schedule)
-    basis = enumerate_patterns(partition)
+    if basis is None:
+        basis = enumerate_patterns(partition)
     words = [raising_word(pat, order).mirror() for pat in basis]
     seen: dict[GeneratorWord, int] = {}
     duplicate_of: list[int | None] = []
@@ -94,27 +99,28 @@ def monomial_family(partition: Partition, schedule="canonical") -> MonomialFamil
     return MonomialFamily(partition, name, basis, words, duplicate_of)
 
 
-def basis_matrix(family: MonomialFamily) -> OperatorMatrix:
-    """Column i = word_i applied to β, over the canonical pattern basis.
+def basis_matrix(
+    family: MonomialFamily, module: GTModule | None = None
+) -> OperatorMatrix:
+    """Column i = word_i applied to β, over the family's pattern basis.
 
     Each word is expanded into unit steps in application order, so F^a
     extends F^(a-1).  Visiting the words in sorted step order, every word
     starts from the longest prefix it shares with the previous one; the
-    stack holds the image of β after each step of the current word.  Each
-    generator matrix is built once, on first use.
+    stack holds the image of β after each step of the current word.  The
+    generator matrices come from ``module`` (one over ``family.patterns``
+    when none is given), so each is built once.
     """
-    partition = family.partition
-    basis = enumerate_patterns(partition)
-    beta = basis.index(highest_pattern(partition))
+    if module is None:
+        module = GTModule(family.partition, family.patterns)
     steps = [
         tuple((spec.kind, spec.index) for spec, exp in reversed(word.factors)
               for _ in range(exp))
         for word in family.words
     ]
-    mats: dict[tuple[str, int], OperatorMatrix] = {}
     cols: list = [None] * len(steps)
     path: tuple[tuple[str, int], ...] = ()
-    stack = [{beta: RadicalScalar.one()}]
+    stack = [{module.beta: RadicalScalar.one()}]
     for i in sorted(range(len(steps)), key=steps.__getitem__):
         word = steps[i]
         shared = 0
@@ -124,9 +130,7 @@ def basis_matrix(family: MonomialFamily) -> OperatorMatrix:
             shared += 1
         del stack[shared + 1:]
         for step in word[shared:]:
-            if step not in mats:
-                mats[step] = operator_matrix(GeneratorSpec(*step), partition)
-            stack.append(mats[step].apply(stack[-1]))
+            stack.append(module.generator(*step).apply(stack[-1]))
         path = word
         cols[i] = stack[-1]
     return OperatorMatrix.from_columns(cols)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .patterns import GTPattern, Partition, enumerate_patterns
+from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
 from .scalars import RadicalScalar, sqrt_rational
 
 
@@ -309,13 +309,41 @@ def _subtract_into(
     return out
 
 
-def operator_matrix(spec: GeneratorSpec, partition: Partition) -> OperatorMatrix:
-    """Matrix of a generator over the ascending pattern basis."""
+class GTModule:
+    """One module's pattern basis and generator matrices, shared by one verdict.
+
+    Holds the basis (enumerated once, or given in ascending order), the
+    ``{pattern: index}`` map, β's index, and each generator matrix, built
+    through ``operator_matrix`` on first use.  Nothing is kept between
+    verdicts.
+    """
+
+    def __init__(self, partition: Partition, basis: list[GTPattern] | None = None):
+        self.partition = partition
+        self.basis = enumerate_patterns(partition) if basis is None else basis
+        self.index = {pat: i for i, pat in enumerate(self.basis)}
+        self.beta = self.index[highest_pattern(partition)]
+        self._mats: dict[tuple[str, int], OperatorMatrix] = {}
+
+    def generator(self, kind: str, index: int) -> OperatorMatrix:
+        """E_k ("raise"), F_k ("lower"), H_i ("diag") or a cartan difference."""
+        mat = self._mats.get((kind, index))
+        if mat is None:
+            spec = GeneratorSpec(kind, index)
+            mat = self._mats[(kind, index)] = operator_matrix(spec, self.partition, self)
+        return mat
+
+
+def operator_matrix(
+    spec: GeneratorSpec, partition: Partition, module: GTModule | None = None
+) -> OperatorMatrix:
+    """Matrix of a generator over the ascending pattern basis of the module."""
     spec.check_range(partition.n)
-    basis = enumerate_patterns(partition)
-    index = {pat: i for i, pat in enumerate(basis)}
+    if module is None:
+        module = GTModule(partition)
+    index = module.index
     cols: list[dict[int, RadicalScalar]] = []
-    for pat in basis:
+    for pat in module.basis:
         if spec.kind in ("raise", "lower"):
             act = act_raise if spec.kind == "raise" else act_lower
             image = act(spec.index, pat)
@@ -338,8 +366,13 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     )
 
 
+def _commute(a: OperatorMatrix, b: OperatorMatrix) -> bool:
+    """Whether AB = BA: A(Be_c) against B(Ae_c), up to the first differing column."""
+    return all(a.apply(bc) == b.apply(ac) for ac, bc in zip(a.cols, b.cols))
+
+
 def _element_table(
-    partition: Partition, lo: int, hi: int
+    module: GTModule, lo: int, hi: int
 ) -> dict[tuple[int, int], OperatorMatrix]:
     """E_{i,j} for every i != j in lo..hi, each built once, bottom-up.
 
@@ -348,8 +381,8 @@ def _element_table(
     """
     mats: dict[tuple[int, int], OperatorMatrix] = {}
     for k in range(lo, hi):
-        mats[(k, k + 1)] = operator_matrix(GeneratorSpec("raise", k), partition)
-        mats[(k + 1, k)] = operator_matrix(GeneratorSpec("lower", k), partition)
+        mats[(k, k + 1)] = module.generator("raise", k)
+        mats[(k + 1, k)] = module.generator("lower", k)
     for gap in range(2, hi - lo + 1):
         for i in range(lo, hi - gap + 1):
             j = i + gap
@@ -365,7 +398,7 @@ def general_element(i: int, j: int, partition: Partition) -> OperatorMatrix:
         raise ValueError("diagonal element requested; use diag/cartan")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices (%d,%d) out of range for n=%d" % (i, j, n))
-    return _element_table(partition, min(i, j), max(i, j))[(i, j)]
+    return _element_table(GTModule(partition), min(i, j), max(i, j))[(i, j)]
 
 
 class RelationReport:
@@ -409,62 +442,65 @@ def _first_difference(a: OperatorMatrix, b: OperatorMatrix) -> str:
     )
 
 
-def verify_sln_relations(partition: Partition) -> RelationReport:
+def verify_sln_relations(
+    partition: Partition, module: GTModule | None = None
+) -> RelationReport:
     """Exhaustively check the defining bracket relations on this module.
 
     Covers [E_{i,j}, E_{j,l}] = E_{i,l}, [E_{i,j}, E_{j,i}] = H_i - H_j,
     vanishing brackets for disjoint index pairs, zero traces of all E_{i,j},
-    and zero traces of the cartan differences.
+    and zero traces of the cartan differences.  [B,A] = -[A,B] exactly, so
+    a check and its mirror image are decided once and recorded under both
+    names; only a failure's detail is computed for each name.
     """
     n = partition.n
+    if module is None:
+        module = GTModule(partition)
     report = RelationReport(partition)
-    mats = _element_table(partition, 1, n)
-    diags = {
-        i: operator_matrix(GeneratorSpec("diag", i), partition)
-        for i in range(1, n + 1)
-    }
+    mats = _element_table(module, 1, n)
+    diags = {i: module.generator("diag", i) for i in range(1, n + 1)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    decided: dict[tuple[tuple[int, int], tuple[int, int]], bool] = {}
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
+    for i, j in pairs:
+        for l in range(1, n + 1):
+            if l == j or l == i:
                 continue
-            for l in range(1, n + 1):
-                if l == j or l == i:
-                    continue
-                got = commutator(mats[(i, j)], mats[(j, l)])
-                want = mats[(i, l)]
-                ok = got == want
-                report.record(
-                    "[E(%d,%d),E(%d,%d)] = E(%d,%d)" % (i, j, j, l, i, l),
-                    ok,
-                    "" if ok else _first_difference(got, want),
-                )
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            got = commutator(mats[(i, j)], mats[(j, i)])
-            want = diags[i] - diags[j]
+            got = commutator(mats[(i, j)], mats[(j, l)])
+            want = mats[(i, l)]
             ok = got == want
             report.record(
-                "[E(%d,%d),E(%d,%d)] = H(%d)-H(%d)" % (i, j, j, i, i, j),
+                "[E(%d,%d),E(%d,%d)] = E(%d,%d)" % (i, j, j, l, i, l),
                 ok,
                 "" if ok else _first_difference(got, want),
             )
 
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    for i1, j1 in pairs:
-        for i2, j2 in pairs:
-            if j1 == i2 or i1 == j2:
+    for i, j in pairs:
+        p, q = (i, j), (j, i)
+        ok = decided.get((q, p))
+        if not ok:  # undecided, or failed and its own detail is needed
+            got = commutator(mats[p], mats[q])
+            want = diags[i] - diags[j]
+            ok = decided[(p, q)] = got == want
+        report.record(
+            "[E(%d,%d),E(%d,%d)] = H(%d)-H(%d)" % (i, j, j, i, i, j),
+            ok,
+            "" if ok else _first_difference(got, want),
+        )
+
+    for p in pairs:
+        for q in pairs:
+            if p[1] == q[0] or p[0] == q[1]:
                 continue
-            got = commutator(mats[(i1, j1)], mats[(i2, j2)])
-            ok = got.is_zero()
-            report.record(
-                "[E(%d,%d),E(%d,%d)] = 0" % (i1, j1, i2, j2),
-                ok,
-                "" if ok else _first_difference(got, OperatorMatrix.zero(got.dim)),
-            )
+            ok = decided.get((q, p))
+            if ok is None:
+                # [A,A] = 0 for every matrix
+                ok = decided[(p, q)] = p == q or _commute(mats[p], mats[q])
+            detail = ""
+            if not ok:
+                got = commutator(mats[p], mats[q])
+                detail = _first_difference(got, OperatorMatrix.zero(got.dim))
+            report.record("[E(%d,%d),E(%d,%d)] = 0" % (*p, *q), ok, detail)
 
     for (i, j), mat in sorted(mats.items()):
         tr = mat.trace()

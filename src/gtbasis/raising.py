@@ -11,8 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .operators import ModuleVector, GeneratorSpec, act_lower, act_raise
-from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
+from .operators import (
+    GTModule,
+    GeneratorSpec,
+    InternalConsistencyError,
+    ModuleVector,
+    act_lower,
+    act_raise,
+)
+from .patterns import GTPattern, Partition, highest_pattern
 from .scalars import RadicalScalar
 
 
@@ -286,18 +293,65 @@ class SimplicityReport:
         return "%s (%d/%d, rank %d)" % (status, self.raised, self.dim, self.rank)
 
 
-def simplicity_certificate(partition: Partition) -> SimplicityReport:
+def _check_ladder(module: GTModule):
+    """Check, in O(nnz), what makes the basis-matrix diagonal equal λ_β.
+
+    With F_k = E_kᵀ, the mirrored monomial of ξ is the transpose of ξ's
+    raising word W, so the diagonal entry (ξ, ξ) of the canonical basis
+    matrix is ⟨β, Wξ⟩.  Every E_k moving a pattern to one whose row-k
+    content is one higher, other rows unchanged, makes Wξ a single weight
+    vector; β alone having its row contents then leaves Wξ no support
+    besides β when that entry is nonzero.  Raises InternalConsistencyError
+    on the first violation.
+    """
+    n = module.partition.n
+    contents = [tuple(pat.content(r) for r in range(1, n)) for pat in module.basis]
+    if contents.count(contents[module.beta]) != 1:
+        raise InternalConsistencyError(
+            "the row contents of the highest pattern are not unique to it"
+        )
+    for k in range(1, n):
+        e, f = module.generator("raise", k), module.generator("lower", k)
+        for c, col in enumerate(e.cols):
+            up = contents[c][: k - 1] + (contents[c][k - 1] + 1,) + contents[c][k:]
+            for r, v in col.items():
+                if contents[r] != up:
+                    source, target = module.basis[c], module.basis[r]
+                    raise InternalConsistencyError(
+                        "E_%d moves %s to %s, not one up in row %d only"
+                        % (k, source.to_string(), target.to_string(), k)
+                    )
+                if f.cols[r].get(c) != v:
+                    raise InternalConsistencyError(
+                        "F_%d is not the transpose of E_%d at (%d,%d)" % (k, k, c, r)
+                    )
+        if sum(map(len, e.cols)) != sum(map(len, f.cols)):
+            raise InternalConsistencyError(
+                "F_%d has entries off the transpose of E_%d" % (k, k)
+            )
+
+
+def simplicity_certificate(
+    partition: Partition, module: GTModule | None = None
+) -> SimplicityReport:
+    """Certify simplicity from the canonical basis matrix alone.
+
+    Its diagonal gives λ_β for every pattern (see ``_check_ladder``), and its
+    rank decides whether the monomial family spans.
+    """
     from . import monomials  # deferred: monomials imports this module
 
-    basis = enumerate_patterns(partition)
-    failures = []
-    raised = 0
-    for pat in basis:
-        try:
-            verify_raise(pat)
-            raised += 1
-        except CertificationError as exc:
-            failures.append((pat, str(exc)))
-    family = monomials.monomial_family(partition, "canonical")
-    rank = monomials.rank(monomials.basis_matrix(family))
-    return SimplicityReport(partition, len(basis), raised, failures, rank)
+    if module is None:
+        module = GTModule(partition)
+    _check_ladder(module)
+    family = monomials.monomial_family(partition, "canonical", module.basis)
+    mat = monomials.basis_matrix(family, module)
+    failures = [
+        (pat, "raising %s annihilated it" % pat.to_string())
+        for c, pat in enumerate(module.basis)
+        if c not in mat.cols[c]
+    ]
+    dim = len(module.basis)
+    return SimplicityReport(
+        partition, dim, dim - len(failures), failures, monomials.rank(mat)
+    )

@@ -13,15 +13,20 @@ import subprocess
 import sys
 import weakref
 
+import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gtbasis import patterns
 from gtbasis.cli import emit, main
 from gtbasis.operators import (
     GeneratorSpec,
     matrix_from_json,
     operator_matrix,
 )
-from gtbasis.patterns import enumerate_patterns
+from gtbasis.patterns import GTPattern, Partition, enumerate_patterns
+from gtbasis.raising import GeneratorWord
 from gtbasis.scalars import RadicalScalar
 from gtbasis.weights import weight_of
 
@@ -309,3 +314,60 @@ def test_emit_keeps_no_reference_to_a_redirected_stdout():
     del buf
     gc.collect()
     assert ref() is None
+
+
+# -- one enumeration per verdict ----------------------------------------------
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "3,2,1,0"],
+    ["verify", "2,1,1,1,0", "--format", "json"],
+    ["monomials", "5,3,2,0"],
+    ["monomials", "3,2,1,0,0", "--format", "json"],
+    ["monomials", "6,3,0", "--schedule", "alternate"],
+])
+def test_each_verdict_enumerates_the_basis_once(monkeypatch, args):
+    calls = []
+    original = patterns.enumerate_patterns
+
+    def counting(partition):
+        calls.append(partition)
+        return original(partition)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "gtbasis" or name.startswith("gtbasis."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    run(args)
+    assert len(calls) == 1
+
+
+# -- parser fuzzing ------------------------------------------------------------
+
+PARSER_TEXT = st.text(
+    alphabet=st.sampled_from(
+        list("0123456789,;^-+ EFHabxyz\t\n") + ["٣", "１", "²", "߀", "\u00a0"]
+    ),
+    max_size=24,
+)
+
+
+def rejected(parse, text):
+    """Whether parse rejects text; any exception but ValueError fails the test."""
+    try:
+        parse(text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(PARSER_TEXT)
+def test_parsers_raise_only_value_error(text):
+    if rejected(Partition.from_string, text):
+        run(["dim", "--", text], expect_exit=2)
+    if rejected(lambda t: GTPattern.from_string(t, P210), text):
+        run(["raise", "2,1,0", "--pattern=" + text], expect_exit=2)
+    rejected(GTPattern.from_string, text)
+    rejected(GeneratorWord.from_text, text)

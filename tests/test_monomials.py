@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtbasis import monomials, raising
+from gtbasis import operators, raising
 from gtbasis.monomials import (
     UnsupportedScheduleError,
     basis_matrix,
@@ -145,16 +145,16 @@ def test_basis_matrix_columns_are_word_images():
 
 def test_basis_matrix_builds_each_lowering_matrix_once(monkeypatch):
     calls = []
-    original = monomials.operator_matrix
+    original = operators.operator_matrix
 
-    def counting(spec, partition):
+    def counting(spec, partition, *rest):
         calls.append(spec)
-        return original(spec, partition)
+        return original(spec, partition, *rest)
 
     def forbidden(*args):
         raise AssertionError("basis_matrix applied a word pattern by pattern")
 
-    monkeypatch.setattr(monomials, "operator_matrix", counting)
+    monkeypatch.setattr(operators, "operator_matrix", counting)
     monkeypatch.setattr(raising, "apply_word", forbidden)
     monkeypatch.setattr(raising, "apply_generator", forbidden)
     for parts, schedule in (

@@ -421,9 +421,9 @@ def test_relations_build_each_generator_once(monkeypatch):
     calls = []
     original = operators.operator_matrix
 
-    def counting(spec, partition):
+    def counting(spec, partition, *rest):
         calls.append(spec)
-        return original(spec, partition)
+        return original(spec, partition, *rest)
 
     monkeypatch.setattr(operators, "operator_matrix", counting)
     for parts in ([1, 0], [2, 1, 0], [2, 1, 1, 0]):
@@ -442,3 +442,111 @@ def test_first_difference_is_row_major():
     b = OperatorMatrix([[one, two], [z, z]])
     assert _first_difference(a, b) == "first difference at (0,1): 0 vs 2"
     assert _first_difference(a, a) == ""
+
+
+def _oracle_relation_checks(partition):
+    """The exhaustive relation loop with one commutator per ordered pair."""
+    n = partition.n
+    build = operators.operator_matrix
+    mats = {}
+    for k in range(1, n):
+        mats[(k, k + 1)] = build(GeneratorSpec("raise", k), partition)
+        mats[(k + 1, k)] = build(GeneratorSpec("lower", k), partition)
+    for gap in range(2, n):
+        for i in range(1, n - gap + 1):
+            j = i + gap
+            mats[(i, j)] = commutator(mats[(i, i + 1)], mats[(i + 1, j)])
+            mats[(j, i)] = commutator(mats[(j, j - 1)], mats[(j - 1, i)])
+    diags = {i: build(GeneratorSpec("diag", i), partition) for i in range(1, n + 1)}
+    checks = []
+
+    def record(name, got, want):
+        ok = got == want
+        checks.append((name, ok, "" if ok else _first_difference(got, want)))
+
+    idx = range(1, n + 1)
+    for i in idx:
+        for j in idx:
+            for l in idx:
+                if len({i, j, l}) == 3:
+                    record("[E(%d,%d),E(%d,%d)] = E(%d,%d)" % (i, j, j, l, i, l),
+                           commutator(mats[(i, j)], mats[(j, l)]), mats[(i, l)])
+    for i in idx:
+        for j in idx:
+            if i != j:
+                record("[E(%d,%d),E(%d,%d)] = H(%d)-H(%d)" % (i, j, j, i, i, j),
+                       commutator(mats[(i, j)], mats[(j, i)]), diags[i] - diags[j])
+    pairs = [(i, j) for i in idx for j in idx if i != j]
+    for p in pairs:
+        for q in pairs:
+            if p[1] != q[0] and p[0] != q[1]:
+                got = commutator(mats[p], mats[q])
+                record("[E(%d,%d),E(%d,%d)] = 0" % (*p, *q), got,
+                       OperatorMatrix.zero(got.dim))
+    for (i, j), mat in sorted(mats.items()):
+        tr = mat.trace()
+        checks.append(("trace E(%d,%d) = 0" % (i, j), tr.is_zero(),
+                       "" if tr.is_zero() else str(tr)))
+    for i in range(1, n):
+        tr = (diags[i] - diags[i + 1]).trace()
+        checks.append(("trace cartan(%d) = 0" % i, tr.is_zero(),
+                       "" if tr.is_zero() else str(tr)))
+    return checks
+
+
+def _scale_first_entry_of_e2(spec, mat):
+    if (spec.kind, spec.index) != ("raise", 2):
+        return mat
+    cols = [dict(col) for col in mat.cols]
+    c = next(c for c, col in enumerate(cols) if col)
+    r = min(cols[c])
+    cols[c][r] = cols[c][r] * RadicalScalar.from_rational(2)
+    return OperatorMatrix.from_columns(cols, meta=mat.meta)
+
+
+@pytest.mark.parametrize("corruption", [None, "scale", "swap"])
+def test_relation_report_matches_exhaustive_oracle(monkeypatch, corruption):
+    original = operators.operator_matrix
+
+    def corrupted(spec, partition, *rest):
+        if corruption == "swap" and spec.kind == "raise" and spec.index in (1, 2):
+            spec = GeneratorSpec("raise", 3 - spec.index)
+        mat = original(spec, partition, *rest)
+        return _scale_first_entry_of_e2(spec, mat) if corruption == "scale" else mat
+
+    monkeypatch.setattr(operators, "operator_matrix", corrupted)
+    for parts in ([2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0]):
+        partition = Partition(parts)
+        report = verify_sln_relations(partition)
+        assert report.checks == _oracle_relation_checks(partition), (parts, corruption)
+        assert report.passed == (corruption is None)
+        n = partition.n
+        assert len(report.checks) == {3: 38, 4: 135, 5: 364}[n]
+
+
+def test_relations_bracket_each_unordered_pair_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(operators, name)
+
+        def wrapper(a, b):
+            calls.append(name)
+            return original(a, b)
+
+        monkeypatch.setattr(operators, name, wrapper)
+
+    counting("commutator")
+    counting("_commute")
+    for parts in ([1, 0], [2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0]):
+        calls.clear()
+        n = len(parts)
+        assert verify_sln_relations(Partition(parts)).passed
+        assert calls.count("commutator") == (
+            (n - 1) * (n - 2) + n * (n - 1) * (n - 2) + n * (n - 1) // 2
+        )
+        # one column comparison per unordered pair of distinct, disjoint E(i,j)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        disjoint = [(p, q) for p in pairs for q in pairs
+                    if p < q and p[1] != q[0] and p[0] != q[1]]
+        assert calls.count("_commute") == len(disjoint)

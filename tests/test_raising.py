@@ -3,8 +3,17 @@
 import json
 
 import pytest
+from click.testing import CliRunner
 
-from gtbasis.operators import GeneratorSpec, ModuleVector
+from gtbasis import monomials, operators, raising
+from gtbasis.cli import main
+from gtbasis.operators import (
+    GTModule,
+    GeneratorSpec,
+    InternalConsistencyError,
+    ModuleVector,
+    OperatorMatrix,
+)
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
 from gtbasis.raising import (
     CertificationError,
@@ -12,6 +21,7 @@ from gtbasis.raising import (
     alternate_row_order,
     apply_word,
     canonical_row_order,
+    _check_ladder,
     raise_sum_to_highest,
     raising_exponents,
     raising_word,
@@ -267,3 +277,132 @@ def test_word_validation():
         GeneratorWord(((GeneratorSpec("diag", 1), 1),))
     with pytest.raises(ValueError):
         GeneratorWord(((GeneratorSpec("raise", 1), -2),))
+
+
+LADDER = [Partition([2, 1, 0]), Partition([3, 2, 1, 0]), Partition([2, 1, 1, 1, 0]),
+          Partition([3, 2, 1, 0, 0])]
+
+
+def _certificate_by_raising(partition):
+    """(raised, rank, certified) from one verify_raise per pattern."""
+    basis = enumerate_patterns(partition)
+    raised = 0
+    for xi in basis:
+        try:
+            verify_raise(xi)
+            raised += 1
+        except CertificationError:
+            pass
+    family_rank = monomials.rank(
+        monomials.basis_matrix(monomials.monomial_family(partition, "canonical"))
+    )
+    return raised, family_rank, raised == len(basis) == family_rank
+
+
+def test_certificate_diagonal_equals_verify_raise():
+    partitions = [p for n in (2, 3, 4) for p in all_partitions(n, 3)]
+    partitions += [Partition([2, 1, 1, 1, 0]), Partition([3, 2, 1, 0, 0])]
+    for partition in partitions:
+        mat = monomials.basis_matrix(monomials.monomial_family(partition, "canonical"))
+        for c, xi in enumerate(enumerate_patterns(partition)):
+            assert mat.cols[c][c] == verify_raise(xi), (partition, xi.to_string())
+        report = simplicity_certificate(partition)
+        assert (report.raised, report.rank, report.certified) == (
+            _certificate_by_raising(partition)
+        ), partition
+
+
+def test_certificate_reports_a_zero_diagonal_entry(monkeypatch):
+    original = monomials.basis_matrix
+
+    def losing_one_diagonal(family, *rest):
+        mat = original(family, *rest)
+        cols = [dict(col) for col in mat.cols]
+        del cols[2][2]
+        return OperatorMatrix.from_columns(cols)
+
+    monkeypatch.setattr(monomials, "basis_matrix", losing_one_diagonal)
+    report = simplicity_certificate(P210)
+    xi = enumerate_patterns(P210)[2]
+    assert not report.certified
+    assert report.raised == 7
+    assert report.raise_failures == [(xi, "raising %s annihilated it" % xi.to_string())]
+
+
+def test_verify_never_replays_raising_words(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the certificate replayed a raising word")
+
+    for name in ("verify_raise", "apply_word", "apply_generator"):
+        monkeypatch.setattr(raising, name, forbidden)
+    for partition in LADDER[:3]:
+        assert simplicity_certificate(partition).certified
+        result = CliRunner().invoke(main, ["verify", str(partition)])
+        assert result.exit_code == 0 and "CERTIFIED" in result.output
+
+
+def _corrupting(monkeypatch, corrupt):
+    """Pass every (E_k, F_k) pair of each built module through corrupt."""
+    original = operators.operator_matrix
+
+    def built(spec, partition, *rest):
+        mat = original(spec, partition, *rest)
+        if spec.kind not in ("raise", "lower"):
+            return mat
+        e = original(GeneratorSpec("raise", spec.index), partition, *rest)
+        f = original(GeneratorSpec("lower", spec.index), partition, *rest)
+        return corrupt(e, f)[spec.kind == "lower"]
+
+    monkeypatch.setattr(operators, "operator_matrix", built)
+
+
+def _transpose(mat):
+    cols = [{} for _ in range(mat.dim)]
+    for r, c, v in mat.nonzeros():
+        cols[r][c] = v
+    return OperatorMatrix.from_columns(cols)
+
+
+def test_ladder_invariants_hold_on_unmodified_modules():
+    for partition in LADDER:
+        module = GTModule(partition)
+        _check_ladder(module)
+        for k in range(1, partition.n):
+            e = module.generator("raise", k)
+            assert module.generator("lower", k) == _transpose(e)
+
+
+def test_certificate_rejects_a_corrupted_lowering_matrix(monkeypatch):
+    def changed_f(e, f):
+        cols = [dict(col) for col in f.cols]
+        c = next(c for c, col in enumerate(cols) if col)
+        r = min(cols[c])
+        cols[c][r] = -cols[c][r]
+        return e, OperatorMatrix.from_columns(cols)
+
+    _corrupting(monkeypatch, changed_f)
+    for partition in LADDER:
+        with pytest.raises(InternalConsistencyError, match="not the transpose"):
+            simplicity_certificate(partition)
+
+
+def test_certificate_rejects_a_misweighted_raising_matrix(monkeypatch):
+    def misweighted(e, f):
+        # move one entry of E_k onto the diagonal, F_k following as its transpose
+        cols = [dict(col) for col in e.cols]
+        c = next(c for c, col in enumerate(cols) if col)
+        cols[c][c] = cols[c].pop(min(cols[c]))
+        e = OperatorMatrix.from_columns(cols)
+        return e, _transpose(e)
+
+    _corrupting(monkeypatch, misweighted)
+    for partition in LADDER:
+        with pytest.raises(InternalConsistencyError, match="not one up in row"):
+            simplicity_certificate(partition)
+
+
+def test_certificate_rejects_a_shared_highest_weight():
+    beta = highest_pattern(P210)
+    module = GTModule(P210, enumerate_patterns(P210) + [beta])
+    with pytest.raises(InternalConsistencyError, match="highest pattern"):
+        _check_ladder(module)
