@@ -1,11 +1,13 @@
 """Command-line front-end: every library capability behind one executable.
 
 Exit codes form a stable contract: 0 for success (or a certified report),
-1 for a verification failure, 2 for usage or parse errors.
+1 for a verification failure, 2 for usage or parse errors and for a module
+larger than ``--max-dim``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -82,6 +84,22 @@ def emit(text: str, output: str | None):
             fh.write(text)
 
 
+def max_dim_option(command):
+    """Add --max-dim: refuse, before any enumeration, a module larger than it."""
+
+    @click.option("--max-dim", type=int, default=5000, show_default=True,
+                  help="Refuse modules of larger dimension (Weyl formula).")
+    @functools.wraps(command)
+    def guarded(partition, max_dim, **kwargs):
+        d = dimension(partition)
+        if d > max_dim:
+            click.echo("dimension %d exceeds --max-dim %d" % (d, max_dim), err=True)
+            sys.exit(2)
+        return command(partition, **kwargs)
+
+    return guarded
+
+
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False)
 
@@ -122,6 +140,7 @@ def dim(partition):
 @click.argument("partition", type=PARTITION)
 @format_option("table", "json")
 @output_option
+@max_dim_option
 def patterns(partition, fmt, output):
     """List every pattern for PARTITION with its weight."""
     pats = enumerate_patterns(partition)
@@ -140,12 +159,12 @@ def patterns(partition, fmt, output):
     emit("\n".join(lines), output)
 
 
-def matrix_table(mat: OperatorMatrix, partition: Partition) -> str:
-    basis = enumerate_patterns(partition)
+def matrix_table(mat: OperatorMatrix, module: GTModule) -> str:
     _, label, index = mat.meta
     lines = [
-        "# %s index %d on %s, dim %d" % (label, index, partition, mat.dim),
-        "# basis (rows below top): %s" % " | ".join(p.compact_str() for p in basis),
+        "# %s index %d on %s, dim %d" % (label, index, module.partition, mat.dim),
+        "# basis (rows below top): %s"
+        % " | ".join(p.compact_str() for p in module.basis),
     ]
     cells = [[str(v) for v in row] for row in mat.entries]
     widths = [max(len(cells[r][c]) for r in range(mat.dim)) for c in range(mat.dim)]
@@ -160,22 +179,25 @@ def matrix_table(mat: OperatorMatrix, partition: Partition) -> str:
 @click.argument("index", type=int)
 @format_option("table", "json", "matrixmarket")
 @output_option
+@max_dim_option
 def matrix(partition, generator, index, fmt, output):
     """Print the matrix of GENERATOR (E, F, H, or cartan) at INDEX."""
     spec = generator_spec(partition, generator, index)
-    mat = operator_matrix(spec, partition)
+    module = GTModule(partition)
+    mat = operator_matrix(spec, partition, module)
     if fmt == "json":
         emit(dumps(matrix_to_json(mat)), output)
     elif fmt == "matrixmarket":
         emit(matrix_market(mat), output)
     else:
-        emit(matrix_table(mat, partition), output)
+        emit(matrix_table(mat, module), output)
 
 
 @main.command()
 @click.argument("partition", type=PARTITION)
 @format_option("table", "json")
 @output_option
+@max_dim_option
 def verify(partition, fmt, output):
     """Check every bracket relation and certify simplicity."""
     module = GTModule(partition)
@@ -227,6 +249,7 @@ def verify(partition, fmt, output):
 @output_option
 @click.option("--pattern", "pattern_text", default=None,
               help="Show the weight of one pattern instead.")
+@max_dim_option
 def weights(partition, fmt, output, pattern_text):
     """Weight decomposition of the module for PARTITION."""
     if pattern_text is not None:
@@ -318,6 +341,7 @@ def raise_cmd(partition, pattern_text, fmt, output):
               help="Exit 1 when the family is not a basis.")
 @format_option("table", "json")
 @output_option
+@max_dim_option
 def monomials(partition, schedule, strict, fmt, output):
     """Build the lowering-monomial family for PARTITION and rank it."""
     try:
@@ -355,6 +379,7 @@ def monomials(partition, schedule, strict, fmt, output):
 @click.argument("generator", type=click.Choice(list(GENERATOR_KINDS)))
 @click.argument("index", type=int)
 @output_option
+@max_dim_option
 def export(partition, generator, index, output):
     """Write a generator matrix in Matrix Market coordinate format."""
     spec = generator_spec(partition, generator, index)

@@ -366,29 +366,47 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     )
 
 
-def _commute(a: OperatorMatrix, b: OperatorMatrix) -> bool:
-    """Whether AB = BA: A(Be_c) against B(Ae_c), up to the first differing column."""
-    return all(a.apply(bc) == b.apply(ac) for ac, bc in zip(a.cols, b.cols))
+def _bracket_is(a: OperatorMatrix, b: OperatorMatrix, want: OperatorMatrix) -> bool:
+    """Whether [A,B] = W: A(Be_c) − We_c against B(Ae_c), up to the first difference."""
+    _check_dims(a, b)
+    return all(
+        _subtract_into(a.apply(bc), wc) == b.apply(ac)
+        for ac, bc, wc in zip(a.cols, b.cols, want.cols)
+    )
+
+
+def is_transpose(a: OperatorMatrix, b: OperatorMatrix) -> bool:
+    """Whether B = Aᵀ exactly, in O(nnz)."""
+    cols: list[dict[int, RadicalScalar]] = [{} for _ in a.cols]
+    for r, c, v in a.nonzeros():
+        cols[r][c] = v
+    return b.cols == tuple(cols)
+
+
+Pair = tuple[int, int]
 
 
 def _element_table(
     module: GTModule, lo: int, hi: int
-) -> dict[tuple[int, int], OperatorMatrix]:
+) -> tuple[dict[Pair, OperatorMatrix], list[tuple[Pair, Pair]]]:
     """E_{i,j} for every i != j in lo..hi, each built once, bottom-up.
 
     E_{i,j} with |i-j| = 1 is a plain raising/lowering generator; otherwise
-    E_{i,j} = [E_{i,k}, E_{k,j}] with k one step from i toward j.
+    E_{i,j} = [E_{i,k}, E_{k,j}] with k one step from i toward j.  Also
+    returns each defining bracket ((i,k),(k,j)), which equals E_{i,j} by
+    construction.
     """
-    mats: dict[tuple[int, int], OperatorMatrix] = {}
+    mats: dict[Pair, OperatorMatrix] = {}
+    defining: list[tuple[Pair, Pair]] = []
     for k in range(lo, hi):
         mats[(k, k + 1)] = module.generator("raise", k)
         mats[(k + 1, k)] = module.generator("lower", k)
     for gap in range(2, hi - lo + 1):
         for i in range(lo, hi - gap + 1):
-            j = i + gap
-            mats[(i, j)] = commutator(mats[(i, i + 1)], mats[(i + 1, j)])
-            mats[(j, i)] = commutator(mats[(j, j - 1)], mats[(j - 1, i)])
-    return mats
+            for a, k, b in ((i, i + 1, i + gap), (i + gap, i + gap - 1, i)):
+                mats[(a, b)] = commutator(mats[(a, k)], mats[(k, b)])
+                defining.append(((a, k), (k, b)))
+    return mats, defining
 
 
 def general_element(i: int, j: int, partition: Partition) -> OperatorMatrix:
@@ -398,7 +416,7 @@ def general_element(i: int, j: int, partition: Partition) -> OperatorMatrix:
         raise ValueError("diagonal element requested; use diag/cartan")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices (%d,%d) out of range for n=%d" % (i, j, n))
-    return _element_table(GTModule(partition), min(i, j), max(i, j))[(i, j)]
+    return _element_table(GTModule(partition), min(i, j), max(i, j))[0][(i, j)]
 
 
 class RelationReport:
@@ -449,58 +467,51 @@ def verify_sln_relations(
 
     Covers [E_{i,j}, E_{j,l}] = E_{i,l}, [E_{i,j}, E_{j,i}] = H_i - H_j,
     vanishing brackets for disjoint index pairs, zero traces of all E_{i,j},
-    and zero traces of the cartan differences.  [B,A] = -[A,B] exactly, so
-    a check and its mirror image are decided once and recorded under both
-    names; only a failure's detail is computed for each name.
+    and zero traces of the cartan differences; every named check is
+    reported.  [B,A] = -[A,B] exactly, and when every E_{j,i} is exactly
+    E_{i,j}ᵀ so is [A,B]ᵀ = [Bᵀ,Aᵀ]: a check is decided once per orbit of
+    these symmetries, comparing [A,B] with its right-hand side column by
+    column.  An orbit holding a bracket that built some E_{i,l}, or a
+    bracket [A,A], holds by construction.  Only a failure's detail is
+    computed for each name.
     """
     n = partition.n
     if module is None:
         module = GTModule(partition)
     report = RelationReport(partition)
-    mats = _element_table(module, 1, n)
+    mats, defining = _element_table(module, 1, n)
     diags = {i: module.generator("diag", i) for i in range(1, n + 1)}
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    decided: dict[tuple[tuple[int, int], tuple[int, int]], bool] = {}
+    zero = OperatorMatrix.zero(len(module.basis))
+    idx = range(1, n + 1)
+    pairs = [(i, j) for i in idx for j in idx if i != j]
+    transposed = all(is_transpose(mats[(i, j)], mats[(j, i)]) for i, j in pairs if i < j)
 
-    for i, j in pairs:
-        for l in range(1, n + 1):
-            if l == j or l == i:
-                continue
-            got = commutator(mats[(i, j)], mats[(j, l)])
-            want = mats[(i, l)]
-            ok = got == want
-            report.record(
-                "[E(%d,%d),E(%d,%d)] = E(%d,%d)" % (i, j, j, l, i, l),
-                ok,
-                "" if ok else _first_difference(got, want),
-            )
+    def orbit(p: Pair, q: Pair) -> tuple[Pair, Pair]:
+        images = [(p, q), (q, p)]
+        if transposed:
+            images += [(q[::-1], p[::-1]), (p[::-1], q[::-1])]
+        return min(images)
 
-    for i, j in pairs:
-        p, q = (i, j), (j, i)
-        ok = decided.get((q, p))
+    decided = {orbit(p, q): True for p, q in defining + [(p, p) for p in pairs]}
+    brackets = [(p, (p[1], l)) for p in pairs for l in idx if l not in p]
+    brackets += [(p, p[::-1]) for p in pairs]
+    brackets += [(p, q) for p in pairs for q in pairs if p[1] != q[0] and p[0] != q[1]]
+    for p, q in brackets:
+        if p[1] != q[0]:
+            label, want = "0", zero
+        elif p[0] != q[1]:
+            label, want = "E(%d,%d)" % (p[0], q[1]), mats[(p[0], q[1])]
+        else:
+            label, want = "H(%d)-H(%d)" % p, None
+        key = orbit(p, q)
+        ok = decided.get(key)
         if not ok:  # undecided, or failed and its own detail is needed
-            got = commutator(mats[p], mats[q])
-            want = diags[i] - diags[j]
-            ok = decided[(p, q)] = got == want
-        report.record(
-            "[E(%d,%d),E(%d,%d)] = H(%d)-H(%d)" % (i, j, j, i, i, j),
-            ok,
-            "" if ok else _first_difference(got, want),
-        )
-
-    for p in pairs:
-        for q in pairs:
-            if p[1] == q[0] or p[0] == q[1]:
-                continue
-            ok = decided.get((q, p))
+            if want is None:
+                want = diags[p[0]] - diags[p[1]]
             if ok is None:
-                # [A,A] = 0 for every matrix
-                ok = decided[(p, q)] = p == q or _commute(mats[p], mats[q])
-            detail = ""
-            if not ok:
-                got = commutator(mats[p], mats[q])
-                detail = _first_difference(got, OperatorMatrix.zero(got.dim))
-            report.record("[E(%d,%d),E(%d,%d)] = 0" % (*p, *q), ok, detail)
+                ok = decided[key] = _bracket_is(mats[p], mats[q], want)
+        detail = "" if ok else _first_difference(commutator(mats[p], mats[q]), want)
+        report.record("[E(%d,%d),E(%d,%d)] = %s" % (*p, *q, label), ok, detail)
 
     for (i, j), mat in sorted(mats.items()):
         tr = mat.trace()

@@ -18,6 +18,7 @@ from .operators import (
     ModuleVector,
     act_lower,
     act_raise,
+    is_transpose,
 )
 from .patterns import GTPattern, Partition, highest_pattern
 from .scalars import RadicalScalar
@@ -314,21 +315,15 @@ def _check_ladder(module: GTModule):
         e, f = module.generator("raise", k), module.generator("lower", k)
         for c, col in enumerate(e.cols):
             up = contents[c][: k - 1] + (contents[c][k - 1] + 1,) + contents[c][k:]
-            for r, v in col.items():
+            for r in col:
                 if contents[r] != up:
                     source, target = module.basis[c], module.basis[r]
                     raise InternalConsistencyError(
                         "E_%d moves %s to %s, not one up in row %d only"
                         % (k, source.to_string(), target.to_string(), k)
                     )
-                if f.cols[r].get(c) != v:
-                    raise InternalConsistencyError(
-                        "F_%d is not the transpose of E_%d at (%d,%d)" % (k, k, c, r)
-                    )
-        if sum(map(len, e.cols)) != sum(map(len, f.cols)):
-            raise InternalConsistencyError(
-                "F_%d has entries off the transpose of E_%d" % (k, k)
-            )
+        if not is_transpose(e, f):
+            raise InternalConsistencyError("F_%d is not the transpose of E_%d" % (k, k))
 
 
 def simplicity_certificate(

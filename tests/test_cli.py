@@ -319,14 +319,8 @@ def test_emit_keeps_no_reference_to_a_redirected_stdout():
 # -- one enumeration per verdict ----------------------------------------------
 
 
-@pytest.mark.parametrize("args", [
-    ["verify", "3,2,1,0"],
-    ["verify", "2,1,1,1,0", "--format", "json"],
-    ["monomials", "5,3,2,0"],
-    ["monomials", "3,2,1,0,0", "--format", "json"],
-    ["monomials", "6,3,0", "--schedule", "alternate"],
-])
-def test_each_verdict_enumerates_the_basis_once(monkeypatch, args):
+def _count_enumerations(monkeypatch):
+    """Route every gtbasis binding of enumerate_patterns through a counter."""
     calls = []
     original = patterns.enumerate_patterns
 
@@ -339,8 +333,60 @@ def test_each_verdict_enumerates_the_basis_once(monkeypatch, args):
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "3,2,1,0"],
+    ["verify", "2,1,1,1,0", "--format", "json"],
+    ["monomials", "5,3,2,0"],
+    ["monomials", "3,2,1,0,0", "--format", "json"],
+    ["monomials", "6,3,0", "--schedule", "alternate"],
+    ["matrix", "2,1,0", "E", "1"],
+    ["matrix", "3,2,1,0", "F", "2", "--format", "json"],
+    ["export", "3,2,1,0", "E", "2"],
+])
+def test_each_verdict_enumerates_the_basis_once(monkeypatch, args):
+    calls = _count_enumerations(monkeypatch)
     run(args)
     assert len(calls) == 1
+
+
+# -- size guard ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "9,4,2,0", "--max-dim", "100"],
+    ["patterns", "2,1,0", "--max-dim", "7"],
+    ["weights", "2,1,0", "--max-dim", "7"],
+    ["matrix", "2,1,0", "E", "1", "--max-dim", "7"],
+    ["export", "2,1,0", "E", "1", "--max-dim", "7"],
+    ["monomials", "2,1,0", "--max-dim", "7", "--format", "json"],
+])
+def test_max_dim_refuses_before_enumerating(monkeypatch, args):
+    calls = _count_enumerations(monkeypatch)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    dim, limit = ("2916", "100") if args[1] == "9,4,2,0" else ("8", "7")
+    assert result.stderr == "dimension %s exceeds --max-dim %s\n" % (dim, limit)
+    assert result.stdout == ""
+    assert calls == []
+
+
+def test_max_dim_admits_a_module_of_that_dimension():
+    assert run(["verify", "2,1,0", "--max-dim", "8"]).output.startswith("relations: PASS")
+
+
+def test_max_dim_refusal_is_one_line_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtbasis", "verify", "9,4,2,0", "--max-dim", "100"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "dimension 2916 exceeds --max-dim 100\n"
+    assert proc.stdout == ""
 
 
 # -- parser fuzzing ------------------------------------------------------------

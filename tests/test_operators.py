@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gtbasis import operators
 from gtbasis.operators import (
+    GTModule,
     GeneratorSpec,
     InternalConsistencyError,
     ModuleVector,
@@ -19,6 +20,7 @@ from gtbasis.operators import (
     act_raise,
     commutator,
     general_element,
+    is_transpose,
     matrix_from_json,
     matrix_market,
     matrix_to_json,
@@ -494,34 +496,87 @@ def _oracle_relation_checks(partition):
     return checks
 
 
-def _scale_first_entry_of_e2(spec, mat):
-    if (spec.kind, spec.index) != ("raise", 2):
-        return mat
+def _first_entry_of_e2(partition):
+    """(row, column) of the first nonzero entry of E_2, column-major."""
+    e2 = operator_matrix(GeneratorSpec("raise", 2), partition)
+    c = next(c for c, col in enumerate(e2.cols) if col)
+    return min(e2.cols[c]), c
+
+
+def _scaled(mat, r, c):
     cols = [dict(col) for col in mat.cols]
-    c = next(c for c, col in enumerate(cols) if col)
-    r = min(cols[c])
     cols[c][r] = cols[c][r] * RadicalScalar.from_rational(2)
     return OperatorMatrix.from_columns(cols, meta=mat.meta)
 
 
-@pytest.mark.parametrize("corruption", [None, "scale", "swap"])
-def test_relation_report_matches_exhaustive_oracle(monkeypatch, corruption):
+def _corrupting(monkeypatch, corruption):
+    """Build generators through operators.operator_matrix, corrupted.
+
+    scale: one entry of E_2 doubled; swap: E_1 and E_2 swapped.  Both break
+    E(j,i) = E(i,j)ᵀ.  swap_both also swaps F_1 and F_2, and scale_both also
+    doubles the transposed entry of F_2, so E_k and F_k stay transposes.
+    """
     original = operators.operator_matrix
+    swapped = {"swap": ("raise",), "swap_both": ("raise", "lower")}.get(corruption, ())
+    scaled = {"scale": ("raise",), "scale_both": ("raise", "lower")}.get(corruption, ())
 
     def corrupted(spec, partition, *rest):
-        if corruption == "swap" and spec.kind == "raise" and spec.index in (1, 2):
-            spec = GeneratorSpec("raise", 3 - spec.index)
+        if spec.kind in swapped and spec.index in (1, 2):
+            spec = GeneratorSpec(spec.kind, 3 - spec.index)
         mat = original(spec, partition, *rest)
-        return _scale_first_entry_of_e2(spec, mat) if corruption == "scale" else mat
+        if spec.kind in scaled and spec.index == 2:
+            r, c = _first_entry_of_e2(partition)
+            mat = _scaled(mat, *((r, c) if spec.kind == "raise" else (c, r)))
+        return mat
 
     monkeypatch.setattr(operators, "operator_matrix", corrupted)
-    for parts in ([2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0]):
+
+
+def _elements_are_transposes(partition):
+    mats, _ = operators._element_table(GTModule(partition), 1, partition.n)
+    return all(is_transpose(mats[(i, j)], mats[(j, i)]) for i, j in mats if i < j)
+
+
+# Per partition of the oracle test: whether every E(j,i) is still exactly
+# E(i,j)ᵀ, so that the checks are decided per transpose orbit, not per mirror
+# pair.  A corrupted generator need not commute with a distant one, so the
+# non-adjacent transposes can break where E_k and F_k are still transposes.
+TRANSPOSED = {
+    None: [True, True, True, True],
+    "scale": [False, False, False, False],
+    "swap": [False, False, False, False],
+    "swap_both": [True, False, False, False],
+    "scale_both": [True, True, True, False],
+}
+
+
+@pytest.mark.parametrize("corruption", list(TRANSPOSED))
+def test_relation_report_matches_exhaustive_oracle(monkeypatch, corruption):
+    _corrupting(monkeypatch, corruption)
+    transposed = []
+    for parts in ([2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0], [1, 1, 1, 0, 0, 0]):
         partition = Partition(parts)
         report = verify_sln_relations(partition)
         assert report.checks == _oracle_relation_checks(partition), (parts, corruption)
         assert report.passed == (corruption is None)
         n = partition.n
-        assert len(report.checks) == {3: 38, 4: 135, 5: 364}[n]
+        assert len(report.checks) == {3: 38, 4: 135, 5: 364, 6: 815}[n]
+        transposed.append(_elements_are_transposes(partition))
+    assert transposed == TRANSPOSED[corruption]
+
+
+def _zero_orbits(n, transposed):
+    """Orbits of distinct disjoint pairs (p,q) under mirror and, if asked, transpose."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    orbits = set()
+    for p in pairs:
+        for q in pairs:
+            if p != q and p[1] != q[0] and p[0] != q[1]:
+                images = {(p, q), (q, p)}
+                if transposed:
+                    images |= {(q[::-1], p[::-1]), (p[::-1], q[::-1])}
+                orbits.add(frozenset(images))
+    return len(orbits)
 
 
 def test_relations_bracket_each_unordered_pair_once(monkeypatch):
@@ -530,23 +585,33 @@ def test_relations_bracket_each_unordered_pair_once(monkeypatch):
     def counting(name):
         original = getattr(operators, name)
 
-        def wrapper(a, b):
+        def wrapper(*args):
             calls.append(name)
-            return original(a, b)
+            return original(*args)
 
         monkeypatch.setattr(operators, name, wrapper)
 
     counting("commutator")
-    counting("_commute")
-    for parts in ([1, 0], [2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0]):
-        calls.clear()
-        n = len(parts)
-        assert verify_sln_relations(Partition(parts)).passed
-        assert calls.count("commutator") == (
-            (n - 1) * (n - 2) + n * (n - 1) * (n - 2) + n * (n - 1) // 2
-        )
-        # one column comparison per unordered pair of distinct, disjoint E(i,j)
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-        disjoint = [(p, q) for p in pairs for q in pairs
-                    if p < q and p[1] != q[0] and p[0] != q[1]]
-        assert calls.count("_commute") == len(disjoint)
+    counting("_bracket_is")
+    assert [_zero_orbits(n, True) for n in range(3, 7)] == [3, 18, 60, 150]
+    for corruption in (None, "scale"):
+        with monkeypatch.context() as patch:
+            _corrupting(patch, corruption)
+            for parts in ([1, 0], [2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0],
+                          [1, 1, 1, 0, 0, 0]):
+                calls.clear()
+                n = len(parts)
+                report = verify_sln_relations(Partition(parts))
+                # scale leaves the n = 2 relations, and their transposes, intact
+                intact = corruption is None or n == 2
+                assert report.passed == intact
+                # the table builds, then one commutator per failing name
+                assert calls.count("commutator") == (n - 1) * (n - 2) + len(report.failures)
+                # orbits of [E(i,j),E(j,l)] = E(i,l) holding no defining bracket
+                if intact:
+                    lifted = n * (n - 1) * (n - 2) // 2 - (n - 2) ** 2
+                else:
+                    lifted = n * (n - 1) * (n - 2) - (n - 1) * (n - 2)
+                assert calls.count("_bracket_is") == (
+                    lifted + n * (n - 1) // 2 + _zero_orbits(n, intact)
+                ), (parts, corruption)
