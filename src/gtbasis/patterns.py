@@ -195,8 +195,8 @@ class GTPattern:
     def from_string(cls, text: str, partition: Partition | None = None) -> "GTPattern":
         """Parse the canonical text form, e.g. "2,1,0;2,1;2".
 
-        Whitespace is ignored.  If a partition is supplied the top row must
-        match it exactly.
+        Whitespace is ignored.  If a partition is supplied the top row, shifted
+        like the whole triangle so that its last entry is 0, must match it.
         """
         text = "".join(text.split())
         try:
@@ -207,6 +207,8 @@ class GTPattern:
             raise ValueError("malformed pattern text %r" % (text,)) from None
         rows = list(reversed(top_down))
         if partition is not None:
+            shift = rows[-1][-1]
+            rows = [[e - shift for e in row] for row in rows]
             if len(rows) != partition.n or tuple(rows[-1]) != partition.parts:
                 raise ValueError(
                     "pattern %r does not belong to partition %s" % (text, partition)

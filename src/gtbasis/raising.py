@@ -18,10 +18,11 @@ from .operators import (
     ModuleVector,
     act_lower,
     act_raise,
-    is_transpose,
+    off_weight,
 )
 from .patterns import GTPattern, Partition, highest_pattern
 from .scalars import RadicalScalar
+from .weights import weight_of
 
 
 class CertificationError(RuntimeError):
@@ -299,30 +300,25 @@ def _check_ladder(module: GTModule):
 
     With F_k = E_kᵀ, the mirrored monomial of ξ is the transpose of ξ's
     raising word W, so the diagonal entry (ξ, ξ) of the canonical basis
-    matrix is ⟨β, Wξ⟩.  Every E_k moving a pattern to one whose row-k
-    content is one higher, other rows unchanged, makes Wξ a single weight
-    vector; β alone having its row contents then leaves Wξ no support
-    besides β when that entry is nonzero.  Raises InternalConsistencyError
-    on the first violation.
+    matrix is ⟨β, Wξ⟩.  Every E_k moving the weight by α_k makes Wξ a
+    single weight vector; β alone having its weight then leaves Wξ no
+    support besides β when that entry is nonzero.  Raises
+    InternalConsistencyError on the first violation.
     """
-    n = module.partition.n
-    contents = [tuple(pat.content(r) for r in range(1, n)) for pat in module.basis]
-    if contents.count(contents[module.beta]) != 1:
+    weights = [weight_of(pat).kappa for pat in module.basis]
+    if weights.count(weights[module.beta]) != 1:
         raise InternalConsistencyError(
-            "the row contents of the highest pattern are not unique to it"
+            "the weight of the highest pattern is not unique to it"
         )
-    for k in range(1, n):
+    for k in range(1, module.partition.n):
         e, f = module.generator("raise", k), module.generator("lower", k)
-        for c, col in enumerate(e.cols):
-            up = contents[c][: k - 1] + (contents[c][k - 1] + 1,) + contents[c][k:]
-            for r in col:
-                if contents[r] != up:
-                    source, target = module.basis[c], module.basis[r]
-                    raise InternalConsistencyError(
-                        "E_%d moves %s to %s, not one up in row %d only"
-                        % (k, source.to_string(), target.to_string(), k)
-                    )
-        if not is_transpose(e, f):
+        moved = off_weight(e, weights, k, 1)
+        if moved is not None:
+            target, source = (module.basis[i].to_string() for i in moved)
+            raise InternalConsistencyError(
+                "E_%d moves %s to %s, not one up in row %d only" % (k, source, target, k)
+            )
+        if f != e.transpose():
             raise InternalConsistencyError("F_%d is not the transpose of E_%d" % (k, k))
 
 

@@ -343,6 +343,3 @@ def invert(a: RadicalScalar) -> RadicalScalar:
 def to_float(a: RadicalScalar) -> float:
     return a.to_float()
 
-
-ZERO = RadicalScalar()
-ONE = RadicalScalar.one()

@@ -9,6 +9,7 @@ import contextlib
 import gc
 import io
 import json
+import pathlib
 import subprocess
 import sys
 import weakref
@@ -31,6 +32,9 @@ from gtbasis.scalars import RadicalScalar
 from gtbasis.weights import weight_of
 
 from golden_data import P210, rad
+from test_operators import _corrupting
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(args, expect_exit=0):
@@ -142,6 +146,17 @@ def test_verify_json_document():
     }
 
 
+@pytest.mark.parametrize("fmt, golden", [
+    ("table", "verify_210_scale_both.txt"),
+    ("json", "verify_210_scale_both.json"),
+])
+def test_failing_verify_text_is_pinned(monkeypatch, fmt, golden):
+    # one entry of E_2 and the transposed entry of F_2 doubled: 20 of 38 fail
+    _corrupting(monkeypatch, "scale_both")
+    res = run(["verify", "2,1,0", "--format", fmt], expect_exit=1)
+    assert res.output == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 # -- weights -----------------------------------------------------------------
 
 
@@ -205,6 +220,22 @@ def test_raise_json():
     assert doc["pattern"] == "2,1,0;1,1;1"
     assert doc["exponents"] == [1, 1, 0]
     assert RadicalScalar.from_json(doc["lambda"]) == rad(1, 2, 6)
+
+
+@pytest.mark.parametrize("command, options, unshifted, shifted", [
+    ("raise", [], "3,2,1;3,2;3", "2,1,0;2,1;2"),
+    ("weights", [], "3,2,1;3,1;2", "2,1,0;2,0;1"),
+    ("weights", ["--format", "json"], "3,2,1;3,1;2", "2,1,0;2,0;1"),
+])
+def test_pattern_may_repeat_an_unshifted_partition(command, options, unshifted, shifted):
+    plain = run([command, "2,1,0", *options, "--pattern", shifted]).output
+    assert run([command, "3,2,1", *options, "--pattern", unshifted]).output == plain
+
+
+def test_pattern_of_another_partition_is_refused():
+    for partition in ("3,2,1", "2,1,0"):
+        res = run(["raise", partition, "--pattern", "3,1,0;3,1;3"], expect_exit=2)
+        assert "does not belong to partition 2,1,0" in res.output
 
 
 def test_raise_requires_pattern_option():

@@ -240,3 +240,12 @@ def test_unnormalized_top_row_is_shifted():
     xi = GTPattern.from_string("3,2,1;3,2;3")
     assert xi.partition.parts == (2, 1, 0)
     assert xi.rows == ((2,), (2, 1), (2, 1, 0))
+
+
+def test_text_with_an_unshifted_top_row_belongs_to_the_shifted_partition():
+    partition = Partition([3, 2, 1])
+    assert GTPattern.from_string("3,2,1;3,1;2", partition) == GTPattern.from_string(
+        "2,1,0;2,0;1", partition
+    )
+    with pytest.raises(ValueError, match="does not belong to partition 2,1,0"):
+        GTPattern.from_string("3,1,0;3,1;3", partition)
