@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .operators import (
     GTModule,
+    GeneratorSpec,
     InternalConsistencyError,
     OperatorMatrix,
     _subtract_into,
@@ -22,7 +23,7 @@ from .raising import (
     GeneratorWord,
     alternate_row_order,
     canonical_row_order,
-    raising_word,
+    sweep_exponents,
 )
 from .scalars import RadicalScalar
 
@@ -52,9 +53,13 @@ def resolve_schedule(n: int, schedule) -> tuple[str, list[int]]:
 
 
 def monomial_word(xi: GTPattern, schedule="canonical") -> GeneratorWord:
-    """The lowering monomial for ξ: its raising word mirrored."""
+    """The lowering monomial for ξ: its raising word mirrored.
+
+    F_r^a per row r of the order, a = ξ's sweep exponent, in application order.
+    """
     _, order = resolve_schedule(xi.n, schedule)
-    return raising_word(xi, order).mirror()
+    specs = [GeneratorSpec("lower", r) for r in order]
+    return GeneratorWord(zip(specs, sweep_exponents(xi, order)))
 
 
 @dataclass
@@ -87,15 +92,12 @@ def monomial_family(
     name, order = resolve_schedule(partition.n, schedule)
     if basis is None:
         basis = enumerate_patterns(partition)
-    words = [raising_word(pat, order).mirror() for pat in basis]
-    seen: dict[GeneratorWord, int] = {}
-    duplicate_of: list[int | None] = []
-    for i, word in enumerate(words):
-        if word in seen:
-            duplicate_of.append(seen[word])
-        else:
-            seen[word] = i
-            duplicate_of.append(None)
+    specs = [GeneratorSpec("lower", r) for r in order]
+    exps = [tuple(sweep_exponents(pat, order)) for pat in basis]
+    words = [GeneratorWord(zip(specs, e)) for e in exps]
+    first: dict[tuple[int, ...], int] = {}  # one row order: exponents name the word
+    duplicate_of = [None if first.setdefault(e, i) == i else first[e]
+                    for i, e in enumerate(exps)]
     return MonomialFamily(partition, name, basis, words, duplicate_of)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
-from .scalars import RadicalScalar, sqrt_rational
+from .scalars import RadicalScalar, _make, sqrt_rational
 
 
 class InternalConsistencyError(RuntimeError):
@@ -87,28 +87,26 @@ class ModuleVector:
         return "ModuleVector(%s)" % " + ".join(bits)
 
 
-def _shifted(pattern: GTPattern, r: int) -> list[int]:
-    """l[i][r] = row(r)[i] - i for i = 1..r (returned 0-based)."""
-    return [e - i for i, e in enumerate(pattern.row(r), start=1)]
+def _act(rows, k: int, step: int, roots: dict) -> list:
+    """(target rows, coefficient) pairs of raising (step=1) or lowering (step=-1) row k.
 
-
-def _act(k: int, xi: GTPattern, step: int) -> ModuleVector:
-    """Raising (step=1) or lowering (step=-1) generator on row k.
-
-    The lowering coefficient is the raising one with l_jk replaced by
-    l_jk - 1, so one formula serves both.
+    ``rows`` are a pattern's row tuples.  A target is skipped unless it passes
+    the interleaving tests of ``GTPattern.replace``.  The lowering coefficient
+    is the raising one with l_jk replaced by l_jk - 1, so one formula serves
+    both; its radicand num/den is kept as plain ints, and ``roots`` memoizes
+    each square root by (num, den).
     """
     name, verb = ("raise", "raising") if step > 0 else ("lower", "lowering")
-    n = xi.n
-    if not 1 <= k <= n - 1:
-        raise ValueError("%s row index %d out of range for n=%d" % (name, k, n))
-    out: dict[GTPattern, RadicalScalar] = {}
-    lk = _shifted(xi, k)
-    lku = _shifted(xi, k + 1)
-    lkd = _shifted(xi, k - 1) if k > 1 else []
+    if not 1 <= k < len(rows):
+        raise ValueError("%s row index %d out of range for n=%d" % (name, k, len(rows)))
+    row, upper = rows[k - 1], rows[k]
+    lower = rows[k - 2] if k > 1 else ()
+    lk, lku, lkd = ([e - i for i, e in enumerate(r, start=1)] for r in (row, upper, lower))
+    out = []
     for j in range(1, k + 1):
-        target = xi.replace(k, j, xi.entry(k, j) + step)
-        if target is None:
+        value = row[j - 1] + step
+        if (not upper[j - 1] >= value >= upper[j]
+                or (j < k and value < lower[j - 1]) or (j > 1 and value > lower[j - 2])):
             continue
         ljk = lk[j - 1] if step > 0 else lk[j - 1] - 1
         num = -1
@@ -123,26 +121,31 @@ def _act(k: int, xi: GTPattern, step: int) -> ModuleVector:
         if den == 0:
             raise InternalConsistencyError(
                 "zero denominator %s row %d of %s at position %d"
-                % (verb, k, xi.to_string(), j)
+                % (verb, k, GTPattern._trusted(rows).to_string(), j)
             )
-        radicand = Fraction(num, den)
-        if radicand <= 0:
+        if den < 0:
+            num, den = -num, -den
+        if num <= 0:
             raise InternalConsistencyError(
                 "nonpositive radicand %s %s row %d of %s at position %d"
-                % (radicand, verb, k, xi.to_string(), j)
+                % (Fraction(num, den), verb, k, GTPattern._trusted(rows).to_string(), j)
             )
-        out[target] = sqrt_rational(radicand)
-    return ModuleVector(out)
+        root = roots.get((num, den))
+        if root is None:
+            root = roots[(num, den)] = sqrt_rational(Fraction(num, den))
+        target = rows[:k - 1] + (row[:j - 1] + (value,) + row[j:],) + rows[k:]
+        out.append((target, root))
+    return out
 
 
 def act_raise(k: int, xi: GTPattern) -> ModuleVector:
     """Action of the raising generator on row k: sum over bumpable entries."""
-    return _act(k, xi, 1)
+    return ModuleVector({GTPattern._trusted(t): c for t, c in _act(xi.rows, k, 1, {})})
 
 
 def act_lower(k: int, xi: GTPattern) -> ModuleVector:
     """Action of the lowering generator on row k (adjoint of act_raise)."""
-    return _act(k, xi, -1)
+    return ModuleVector({GTPattern._trusted(t): c for t, c in _act(xi.rows, k, -1, {})})
 
 
 def act_diag(i: int, xi: GTPattern) -> tuple[int, GTPattern]:
@@ -319,16 +322,17 @@ class GTModule:
     """One module's pattern basis and generator matrices, shared by one verdict.
 
     Holds the basis (enumerated once, or given in ascending order), the
-    ``{pattern: index}`` map, β's index, and each generator matrix, built
-    through ``operator_matrix`` on first use.  Nothing is kept between
-    verdicts.
+    ``{rows: index}`` map, β's index, the square roots of the generator
+    coefficients met so far, and each generator matrix, built through
+    ``operator_matrix`` on first use.  Nothing is kept between verdicts.
     """
 
     def __init__(self, partition: Partition, basis: list[GTPattern] | None = None):
         self.partition = partition
         self.basis = enumerate_patterns(partition) if basis is None else basis
-        self.index = {pat: i for i, pat in enumerate(self.basis)}
-        self.beta = self.index[highest_pattern(partition)]
+        self.index = {pat.rows: i for i, pat in enumerate(self.basis)}
+        self.beta = self.index[highest_pattern(partition).rows]
+        self.roots: dict[tuple[int, int], RadicalScalar] = {}
         self._mats: dict[tuple[str, int], OperatorMatrix] = {}
 
     def generator(self, kind: str, index: int) -> OperatorMatrix:
@@ -347,18 +351,18 @@ def operator_matrix(
     spec.check_range(partition.n)
     if module is None:
         module = GTModule(partition)
-    index = module.index
-    cols: list[dict[int, RadicalScalar]] = []
-    for pat in module.basis:
-        if spec.kind in ("raise", "lower"):
-            act = act_raise if spec.kind == "raise" else act_lower
-            image = act(spec.index, pat)
-            cols.append({index[p]: v for p, v in image.terms.items()})
-        else:
-            ev, _ = act_diag(spec.index, pat)
+    index, k = module.index, spec.index
+    if spec.kind in ("raise", "lower"):
+        step, roots = (1 if spec.kind == "raise" else -1), module.roots
+        cols = [{index[t]: v for t, v in _act(pat.rows, k, step, roots)}
+                for pat in module.basis]
+    else:
+        cols = []
+        for c, pat in enumerate(module.basis):
+            ev = pat.content(k) - pat.content(k - 1)
             if spec.kind == "cartan":
-                ev -= act_diag(spec.index + 1, pat)[0]
-            cols.append({index[pat]: RadicalScalar.from_rational(ev)} if ev else {})
+                ev -= pat.content(k + 1) - pat.content(k)
+            cols.append({c: _make({1: Fraction(ev)})} if ev else {})
     kind_label = {"raise": "E", "lower": "F", "diag": "H", "cartan": "cartan"}
     meta = (partition, kind_label[spec.kind], spec.index)
     return OperatorMatrix.from_columns(cols, meta=meta)
@@ -391,21 +395,26 @@ def off_weight(mat: OperatorMatrix, weights, k: int, step) -> tuple[int, int] | 
 Pair = tuple[int, int]
 
 
-def _element_table(module: GTModule, lo: int, hi: int) -> dict[Pair, OperatorMatrix]:
-    """E_{i,j} for every i != j in lo..hi, each built once, bottom-up.
+class _Elements(dict):
+    """E_{i,j} (i != j) of one module, keyed (i, j), each built on first use.
 
     E_{i,j} with |i-j| = 1 is a plain raising/lowering generator; otherwise
     E_{i,j} = [E_{i,k}, E_{k,j}] with k one step from i toward j.
     """
-    mats: dict[Pair, OperatorMatrix] = {}
-    for k in range(lo, hi):
-        mats[(k, k + 1)] = module.generator("raise", k)
-        mats[(k + 1, k)] = module.generator("lower", k)
-    for gap in range(2, hi - lo + 1):
-        for i in range(lo, hi - gap + 1):
-            for a, k, b in ((i, i + 1, i + gap), (i + gap, i + gap - 1, i)):
-                mats[(a, b)] = commutator(mats[(a, k)], mats[(k, b)])
-    return mats
+
+    def __init__(self, module: GTModule):
+        super().__init__()
+        self.module = module
+
+    def __missing__(self, p: Pair) -> OperatorMatrix:
+        i, j = p
+        if abs(i - j) == 1:
+            mat = self.module.generator("raise" if i < j else "lower", min(p))
+        else:
+            k = i + 1 if i < j else i - 1
+            mat = commutator(self[(i, k)], self[(k, j)])
+        self[p] = mat
+        return mat
 
 
 def general_element(i: int, j: int, partition: Partition) -> OperatorMatrix:
@@ -415,7 +424,7 @@ def general_element(i: int, j: int, partition: Partition) -> OperatorMatrix:
         raise ValueError("diagonal element requested; use diag/cartan")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices (%d,%d) out of range for n=%d" % (i, j, n))
-    return _element_table(GTModule(partition), min(i, j), max(i, j))[(i, j)]
+    return _Elements(GTModule(partition))[(i, j)]
 
 
 class RelationReport:
@@ -473,7 +482,7 @@ def verify_sln_relations(
     if module is None:
         module = GTModule(partition)
     report = RelationReport(partition)
-    mats = _element_table(module, 1, n)
+    mats = _Elements(module)
     idx = range(1, n + 1)
     diags = {i: module.generator("diag", i) for i in idx}
     zero = OperatorMatrix.zero(len(module.basis))
@@ -488,7 +497,7 @@ def verify_sln_relations(
     ups = [(k, k + 1) for k in range(1, n)]
     downs = [(k + 1, k) for k in reversed(range(1, n))]
     serre = [(e, f) for e in ups for f in downs]
-    for chain in (ups, downs):  # the table built E(a[0],b[1]) = [a,b] for a, b adjacent
+    for chain in (ups, downs):  # the table builds E(a[0],b[1]) = [a,b] for a, b adjacent
         serre += [(p, q) for x, p in enumerate(chain) for q in chain[x + 2 :]]
         serre += [(g, (a[0], b[1])) for a, b in zip(chain, chain[1:]) for g in (a, b)]
     z, one = RadicalScalar.zero(), RadicalScalar.one()
@@ -516,10 +525,11 @@ def verify_sln_relations(
         ok = got == rhs
         report.record(name, ok, "" if ok else _first_difference(got, rhs))
 
-    for (i, j), mat in sorted(mats.items()):
-        tr = mat.trace()
+    for p in pairs:
+        # on the Serre path an unbuilt E(i,j) is a commutator, so traceless
+        tr = mats[p].trace() if p in mats or not holds else z
         report.record(
-            "trace E(%d,%d) = 0" % (i, j), tr.is_zero(), "" if tr.is_zero() else str(tr)
+            "trace E(%d,%d) = 0" % p, tr.is_zero(), "" if tr.is_zero() else str(tr)
         )
     for i in range(1, n):
         tr = (diags[i] - diags[i + 1]).trace()

@@ -87,6 +87,28 @@ def test_alternate_family_320_duplicates():
     assert rank(basis_matrix(family)) == 12
 
 
+ALTERNATE_POOL = [(6, 3, 0), (7, 3, 0), (8, 4, 0), (9, 3, 0), (9, 4, 0), (10, 5, 0),
+                  (11, 5, 0), (12, 6, 0)]
+
+
+@pytest.mark.parametrize(
+    "parts, schedule",
+    [(parts, "alternate") for parts in ALTERNATE_POOL] + [((3, 2, 1, 0, 0), "canonical")],
+)
+def test_family_words_are_mirrored_raising_words(parts, schedule):
+    partition = Partition(parts)
+    family = monomial_family(partition, schedule)
+    order = (raising.alternate_row_order(3) if schedule == "alternate"
+             else raising.canonical_row_order(partition.n))
+    first = {}
+    for i, p in enumerate(family.patterns):
+        word = raising.raising_word(p, order).mirror()
+        assert family.words[i] == word
+        assert monomial_word(p, schedule) == word
+        j = first.setdefault(word, i)
+        assert family.duplicate_of[i] == (None if j == i else j)
+
+
 def test_alternate_schedule_rejected_for_other_n():
     with pytest.raises(UnsupportedScheduleError):
         monomial_family(Partition([1, 1, 1, 0]), "alternate")

@@ -25,7 +25,7 @@ from gtbasis.operators import (
     operator_matrix,
     verify_sln_relations,
 )
-from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
+from gtbasis.patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
 from gtbasis.scalars import RadicalScalar, sqrt_rational
 from gtbasis.weights import weight_of
 
@@ -310,6 +310,60 @@ def test_matrix_market_threshold_drops_tiny_entries():
 
 def test_internal_consistency_error_is_runtime_error():
     assert issubclass(InternalConsistencyError, RuntimeError)
+
+
+def test_impossible_coefficients_raise_internal_consistency_error():
+    # row 2 does not interleave with the top row, so the formula breaks down
+    p = GTPattern._trusted(((0,), (-1, -1), (2, 1, 0)))
+    with pytest.raises(InternalConsistencyError) as err:
+        act_lower(1, p)
+    assert str(err.value) == (
+        "nonpositive radicand 0 lowering row 1 of 2,1,0;-1,-1;0 at position 1")
+    with pytest.raises(InternalConsistencyError) as err:
+        act_raise(2, p)
+    assert str(err.value) == (
+        "zero denominator raising row 2 of 2,1,0;-1,-1;0 at position 2")
+
+
+def _formula_column(k, xi, step):
+    """{target: coefficient} of row k's raising (step 1) or lowering (-1) on ξ.
+
+    The coefficient of the target that moves entry (k, j) by step is the
+    square root of −Π_i (l_{i,k+1} − l) Π_i (l_{i,k−1} − l − 1) over
+    Π_{i≠j} (l_{i,k} − l)(l_{i,k} − l − 1), with l_{i,r} = row(r)[i] − i and
+    l = l_{j,k} (raising) or l_{j,k} − 1 (lowering).
+    """
+    def shifted(r):
+        return [e - i for i, e in enumerate(xi.row(r), start=1)] if r else []
+
+    out = {}
+    for j in range(1, k + 1):
+        target = xi.replace(k, j, xi.entry(k, j) + step)
+        if target is None:
+            continue
+        l = shifted(k)[j - 1] if step > 0 else shifted(k)[j - 1] - 1
+        num, den = Fraction(-1), Fraction(1)
+        for li in shifted(k + 1):
+            num *= li - l
+        for li in shifted(k - 1):
+            num *= li - l - 1
+        for i, li in enumerate(shifted(k), start=1):
+            if i != j:
+                den *= (li - l) * (li - l - 1)
+        out[target] = sqrt_rational(num / den)
+    return out
+
+
+def test_generator_columns_match_the_formula():
+    for parts in ([3, 2, 1, 0], [2, 1, 1, 1, 0], [3, 2, 1, 0, 0]):
+        partition = Partition(parts)
+        basis = enumerate_patterns(partition)
+        for kind, step in (("raise", 1), ("lower", -1)):
+            for k in range(1, partition.n):
+                mat = operator_matrix(GeneratorSpec(kind, k), partition)
+                for c, xi in enumerate(basis):
+                    want = {basis.index(t): v for t, v in _formula_column(k, xi, step).items()}
+                    assert mat.cols[c] == want, (parts, kind, k, xi)
 
 
 CASIMIR_SCALARS = {
@@ -641,12 +695,13 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
                 n = len(parts)
                 report = verify_sln_relations(Partition(parts))
                 assert report.passed
-                # the element table builds the n(n-1) - 2(n-1) non-adjacent E(i,j)
-                table = (n - 1) * (n - 2)
                 if corruption is None:
-                    assert len(calls) == table + serre[n], parts
+                    # only the E(i,i±2) of Serre's relations are built
+                    assert len(calls) == 2 * max(n - 2, 0) + serre[n], parts
                 else:
-                    # Serre's relations fail on the H_i: every bracket check is
+                    # Serre's relations fail on the H_i: all n(n-1) - 2(n-1)
+                    # non-adjacent E(i,j) are built, and every bracket check is
                     # decided by its own commutator; the traces are not
+                    table = (n - 1) * (n - 2)
                     brackets = len(report.checks) - n * (n - 1) - (n - 1)
                     assert len(calls) == table + brackets, parts
