@@ -1,8 +1,8 @@
 """Command-line front-end: every library capability behind one executable.
 
 Exit codes form a stable contract: 0 for success (or a certified report),
-1 for a verification failure, 2 for usage or parse errors and for a module
-larger than ``--max-dim``.
+1 for a verification failure, 2 for usage or parse errors, for a module
+larger than ``--max-dim`` and for an ``--output`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ class PartitionParam(click.ParamType):
 
 PARTITION = PartitionParam()
 
-GENERATOR_KINDS = {"E": "raise", "F": "lower", "H": "diag", "cartan": "cartan"}
-
 
 def format_option(*choices):
     return click.option(
@@ -80,8 +78,12 @@ def emit(text: str, output: str | None):
         # redirected sys.stdout (and all text written to it) alive
         click.echo(text, nl=False, file=sys.stdout)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            click.echo("cannot write %s: %s" % (output, exc.strerror), err=True)
+            sys.exit(2)
 
 
 def max_dim_option(command):
@@ -112,7 +114,7 @@ def parse_pattern(text: str, partition: Partition) -> GTPattern:
 
 
 def generator_spec(partition: Partition, generator: str, index: int) -> GeneratorSpec:
-    spec = GeneratorSpec(GENERATOR_KINDS[generator], index)
+    spec = GeneratorSpec.from_letter(generator, index)
     try:
         spec.check_range(partition.n)
     except ValueError as exc:
@@ -175,7 +177,7 @@ def matrix_table(mat: OperatorMatrix, module: GTModule) -> str:
 
 @main.command()
 @click.argument("partition", type=PARTITION)
-@click.argument("generator", type=click.Choice(list(GENERATOR_KINDS)))
+@click.argument("generator", type=click.Choice(list(GeneratorSpec.LETTERS.values())))
 @click.argument("index", type=int)
 @format_option("table", "json", "matrixmarket")
 @output_option
@@ -376,7 +378,7 @@ def monomials(partition, schedule, strict, fmt, output):
 
 @main.command()
 @click.argument("partition", type=PARTITION)
-@click.argument("generator", type=click.Choice(list(GENERATOR_KINDS)))
+@click.argument("generator", type=click.Choice(list(GeneratorSpec.LETTERS.values())))
 @click.argument("index", type=int)
 @output_option
 @max_dim_option

@@ -4,19 +4,21 @@ The raising generator for row k bumps one entry of row(k) by 1; the
 coefficient attached to bumping position j is a square root of a rational
 built from the shifted entries l[i][r] = row(r)[i] - i.  Lowering uses the
 same formula with l[j][k] replaced by l[j][k] - 1, and diagonal generators
-act by the row-content differences.  Invalid targets are skipped before any
-formula is evaluated; for a valid target the denominator is provably nonzero
-(shifted entries within a row are strictly decreasing) and the radicand is
-positive.
+act by the pattern's weight (``weights.weight_of``).  Invalid targets are
+skipped before any formula is evaluated; for a valid target the denominator
+is provably nonzero (shifted entries within a row are strictly decreasing)
+and the radicand is positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
 from .scalars import RadicalScalar, _make, sqrt_rational
+from .weights import weight_of
 
 
 class InternalConsistencyError(RuntimeError):
@@ -149,22 +151,37 @@ def act_lower(k: int, xi: GTPattern) -> ModuleVector:
 
 
 def act_diag(i: int, xi: GTPattern) -> tuple[int, GTPattern]:
-    """Diagonal generator: eigenvalue sum(row(i)) - sum(row(i-1))."""
+    """Diagonal generator: eigenvalue κ_i of ξ's weight."""
     if not 1 <= i <= xi.n:
         raise ValueError("diag index %d out of range for n=%d" % (i, xi.n))
-    return xi.content(i) - xi.content(i - 1), xi
+    return weight_of(xi).kappa[i - 1], xi
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """One of the distinguished generators: raise/lower row k, diag i, cartan i."""
 
-    kind: str  # "raise" | "lower" | "diag" | "cartan"
+    kind: str  # a key of LETTERS
     index: int
 
+    # kind -> the letter that names it in text, JSON and matrix metadata
+    LETTERS = {"raise": "E", "lower": "F", "diag": "H", "cartan": "cartan"}
+
     def __post_init__(self):
-        if self.kind not in ("raise", "lower", "diag", "cartan"):
+        if self.kind not in self.LETTERS:
             raise ValueError("unknown generator kind %r" % (self.kind,))
+
+    @classmethod
+    def from_letter(cls, letter: str, index: int) -> "GeneratorSpec":
+        for kind, known in cls.LETTERS.items():
+            if known == letter:
+                return cls(kind, index)
+        raise ValueError("unknown generator letter %r" % (letter,))
+
+    def mirror(self) -> "GeneratorSpec":
+        """The transpose: raise <-> lower; diag and cartan are their own."""
+        flip = {"raise": "lower", "lower": "raise"}
+        return GeneratorSpec(flip.get(self.kind, self.kind), self.index)
 
     def check_range(self, n: int):
         hi = n if self.kind == "diag" else n - 1
@@ -323,7 +340,8 @@ class GTModule:
 
     Holds the basis (enumerated once, or given in ascending order), the
     ``{rows: index}`` map, β's index, the square roots of the generator
-    coefficients met so far, and each generator matrix, built through
+    coefficients met so far, each basis pattern's weight (κ_1, ..., κ_n),
+    read on first use, and each generator matrix, built through
     ``operator_matrix`` on first use.  Nothing is kept between verdicts.
     """
 
@@ -334,6 +352,10 @@ class GTModule:
         self.beta = self.index[highest_pattern(partition).rows]
         self.roots: dict[tuple[int, int], RadicalScalar] = {}
         self._mats: dict[tuple[str, int], OperatorMatrix] = {}
+
+    @cached_property
+    def weights(self) -> list[tuple[int, ...]]:
+        return [weight_of(pat).kappa for pat in self.basis]
 
     def generator(self, kind: str, index: int) -> OperatorMatrix:
         """E_k ("raise"), F_k ("lower"), H_i ("diag") or a cartan difference."""
@@ -356,15 +378,11 @@ def operator_matrix(
         step, roots = (1 if spec.kind == "raise" else -1), module.roots
         cols = [{index[t]: v for t, v in _act(pat.rows, k, step, roots)}
                 for pat in module.basis]
-    else:
-        cols = []
-        for c, pat in enumerate(module.basis):
-            ev = pat.content(k) - pat.content(k - 1)
-            if spec.kind == "cartan":
-                ev -= pat.content(k + 1) - pat.content(k)
-            cols.append({c: _make({1: Fraction(ev)})} if ev else {})
-    kind_label = {"raise": "E", "lower": "F", "diag": "H", "cartan": "cartan"}
-    meta = (partition, kind_label[spec.kind], spec.index)
+    else:  # H_k: κ_k; cartan k: κ_k − κ_{k+1}
+        cartan = spec.kind == "cartan"
+        evs = [w[k - 1] - (w[k] if cartan else 0) for w in module.weights]
+        cols = [{c: _make({1: Fraction(ev)})} if ev else {} for c, ev in enumerate(evs)]
+    meta = (partition, spec.LETTERS[spec.kind], spec.index)
     return OperatorMatrix.from_columns(cols, meta=meta)
 
 

@@ -16,13 +16,11 @@ from .operators import (
     GeneratorSpec,
     InternalConsistencyError,
     ModuleVector,
-    act_lower,
-    act_raise,
+    _act,
     off_weight,
 )
 from .patterns import GTPattern, Partition, highest_pattern
 from .scalars import RadicalScalar
-from .weights import weight_of
 
 
 class CertificationError(RuntimeError):
@@ -41,6 +39,8 @@ class GeneratorWord:
                 raise ValueError("words contain only raise/lower factors")
             if exp < 0:
                 raise ValueError("negative exponent %d" % exp)
+            if spec.index < 1:
+                raise ValueError("row index %d below 1" % spec.index)
         object.__setattr__(self, "factors", factors)
 
     def __setattr__(self, name, value):
@@ -53,27 +53,16 @@ class GeneratorWord:
     def exponents_written(self) -> list[int]:
         return [exp for _, exp in self.factors]
 
-    def exponents_application(self) -> list[int]:
-        return [exp for _, exp in reversed(self.factors)]
-
     def mirror(self) -> "GeneratorWord":
         """Reverse the factors and swap raise <-> lower, keeping exponents."""
-        flip = {"raise": "lower", "lower": "raise"}
-        return GeneratorWord(
-            [
-                (GeneratorSpec(flip[spec.kind], spec.index), exp)
-                for spec, exp in reversed(self.factors)
-            ]
-        )
+        return GeneratorWord((s.mirror(), exp) for s, exp in reversed(self.factors))
 
     def to_text(self) -> str:
         if not self.factors:
             return "(empty)"
-        bits = []
-        for spec, exp in self.factors:
-            letter = "E" if spec.kind == "raise" else "F"
-            bits.append("%s%d%d^%d" % (letter, spec.index, spec.index + 1, exp))
-        return " ".join(bits)
+        letters = GeneratorSpec.LETTERS
+        return " ".join(["%s%d%d^%d" % (letters[s.kind], s.index, s.index + 1, exp)
+                         for s, exp in self.factors])
 
     @classmethod
     def from_text(cls, text: str) -> "GeneratorWord":
@@ -84,32 +73,21 @@ class GeneratorWord:
         for token in text.split():
             try:
                 head, exp = token.split("^")
-                letter, digits = head[0], head[1:]
-                kind = {"E": "raise", "F": "lower"}[letter]
-                row = _split_row_pair(digits)
-                factors.append((GeneratorSpec(kind, row), int(exp)))
-            except (ValueError, KeyError, IndexError):
+                spec = GeneratorSpec.from_letter(head[0], _split_row_pair(head[1:]))
+                factors.append((spec, int(exp)))
+            except (ValueError, IndexError):
                 raise ValueError("malformed word token %r" % (token,)) from None
         return cls(factors)
 
     def to_json(self) -> list[dict]:
-        return [
-            {
-                "gen": "E" if spec.kind == "raise" else "F",
-                "row": spec.index,
-                "exp": exp,
-            }
-            for spec, exp in self.factors
-        ]
+        return [{"gen": spec.LETTERS[spec.kind], "row": spec.index, "exp": exp}
+                for spec, exp in self.factors]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "GeneratorWord":
-        kinds = {"E": "raise", "F": "lower"}
         return cls(
-            [
-                (GeneratorSpec(kinds[item["gen"]], int(item["row"])), int(item["exp"]))
-                for item in data
-            ]
+            (GeneratorSpec.from_letter(item["gen"], int(item["row"])), int(item["exp"]))
+            for item in data
         )
 
     def __eq__(self, other):
@@ -175,35 +153,24 @@ def raising_exponents(xi: GTPattern) -> list[int]:
     return sweep_exponents(xi, canonical_row_order(xi.n))
 
 
-def word_from_exponents(row_order: list[int], exps: list[int],
-                        kind: str = "raise") -> GeneratorWord:
-    """Build the written-order word for application-order rows/exponents."""
-    if len(row_order) != len(exps):
-        raise ValueError("row order and exponents differ in length")
-    factors = [
-        (GeneratorSpec(kind, r), e) for r, e in zip(row_order, exps)
-    ]
-    return GeneratorWord(list(reversed(factors)))
-
-
 def raising_word(xi: GTPattern, row_order: list[int] | None = None) -> GeneratorWord:
     """The raising word for ξ (canonical schedule unless told otherwise)."""
     if row_order is None:
         row_order = canonical_row_order(xi.n)
-    return word_from_exponents(row_order, sweep_exponents(xi, row_order))
+    exps = sweep_exponents(xi, row_order)  # application order; words are written
+    return GeneratorWord(reversed([(GeneratorSpec("raise", r), e)
+                                   for r, e in zip(row_order, exps)]))
 
 
 def apply_generator(spec: GeneratorSpec, v: ModuleVector) -> ModuleVector:
     """One application of a raising/lowering generator to a vector."""
-    if spec.kind == "raise":
-        act = act_raise
-    elif spec.kind == "lower":
-        act = act_lower
-    else:
+    if spec.kind not in ("raise", "lower"):
         raise ValueError("only raise/lower generators act in words")
+    step, roots = (1 if spec.kind == "raise" else -1), {}
     out: dict[GTPattern, RadicalScalar] = {}
     for pat, coeff in v.terms.items():
-        for target, c in act(spec.index, pat).terms.items():
+        for rows, c in _act(pat.rows, spec.index, step, roots):
+            target = GTPattern._trusted(rows)
             prod = c * coeff
             out[target] = out[target] + prod if target in out else prod
     return ModuleVector(out)
@@ -217,26 +184,6 @@ def apply_word(word: GeneratorWord, v: ModuleVector) -> ModuleVector:
                 return v
             v = apply_generator(spec, v)
     return v
-
-
-def verify_raise(xi: GTPattern) -> RadicalScalar:
-    """Apply ξ's canonical word to ξ; return the coefficient on β.
-
-    Raises CertificationError unless the image is a nonzero multiple of the
-    highest pattern alone.
-    """
-    beta = highest_pattern(xi.partition)
-    image = apply_word(raising_word(xi), ModuleVector.unit(xi))
-    residual = set(image.terms) - {beta}
-    if residual:
-        raise CertificationError(
-            "raising %s leaves support on %s"
-            % (xi.to_string(), sorted(p.to_string() for p in residual))
-        )
-    lam = image.coeff(beta)
-    if lam.is_zero():
-        raise CertificationError("raising %s annihilated it" % (xi.to_string(),))
-    return lam
 
 
 @dataclass
@@ -269,6 +216,23 @@ def raise_sum_to_highest(v: ModuleVector) -> RaiseOutcome:
     residual = ModuleVector({p: c for p, c in image.terms.items() if p != beta})
     ok = residual.is_zero() and not lam.is_zero()
     return RaiseOutcome(ok, lam, word, minimal, residual)
+
+
+def verify_raise(xi: GTPattern) -> RadicalScalar:
+    """Apply ξ's canonical word to ξ; return the coefficient on β.
+
+    Raises CertificationError unless the image is a nonzero multiple of the
+    highest pattern alone.
+    """
+    outcome = raise_sum_to_highest(ModuleVector.unit(xi))
+    if not outcome.residual.is_zero():
+        raise CertificationError(
+            "raising %s leaves support on %s"
+            % (xi.to_string(), sorted(p.to_string() for p in outcome.residual.terms))
+        )
+    if outcome.lambda_beta.is_zero():
+        raise CertificationError("raising %s annihilated it" % (xi.to_string(),))
+    return outcome.lambda_beta
 
 
 @dataclass
@@ -305,7 +269,7 @@ def _check_ladder(module: GTModule):
     support besides β when that entry is nonzero.  Raises
     InternalConsistencyError on the first violation.
     """
-    weights = [weight_of(pat).kappa for pat in module.basis]
+    weights = module.weights
     if weights.count(weights[module.beta]) != 1:
         raise InternalConsistencyError(
             "the weight of the highest pattern is not unique to it"

@@ -243,6 +243,17 @@ def test_raise_requires_pattern_option():
     run(["raise", "2,1,0", "--pattern", "nonsense"], expect_exit=2)
 
 
+@pytest.mark.parametrize("args, golden", [
+    (["raise", "2,1,0", "--pattern", "2,1,0;2,0;0"], "raise_210.txt"),
+    (["raise", "2,1,0", "--pattern", "2,1,0;2,0;0", "--format", "json"], "raise_210.json"),
+    (["matrix", "2,1,0", "cartan", "1", "--format", "json"], "matrix_210_cartan_1.json"),
+    (["monomials", "2,1,0", "--schedule", "alternate", "--format", "json"],
+     "monomials_210_alternate.json"),
+])
+def test_output_text_is_pinned(args, golden):
+    assert run(args).output == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 # -- monomials ---------------------------------------------------------------
 
 
@@ -311,6 +322,34 @@ def test_output_option_writes_file(tmp_path):
     assert res.output == ""
     doc = json.loads(target.read_text(encoding="utf-8"))
     assert [entry["pattern"] for entry in doc] == ["1,0;0", "1,0;1"]
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "2,1,0"],
+    ["patterns", "2,1,0"],
+    ["raise", "2,1,0", "--pattern", "2,1,0;2,0;0"],
+])
+def test_output_to_a_missing_directory_is_one_line_and_exit_2(tmp_path, args):
+    target = tmp_path / "missing" / "x"
+    result = CliRunner().invoke(main, [*args, "--output", str(target)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == "cannot write %s: No such file or directory\n" % target
+    assert result.stdout == ""
+    assert not target.parent.exists()
+
+
+def test_output_to_a_missing_directory_prints_no_traceback(tmp_path):
+    target = tmp_path / "missing" / "x"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtbasis", "verify", "2,1,0", "--output", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "cannot write %s: No such file or directory\n" % target
+    assert proc.stdout == ""
 
 
 def test_unknown_format_rejected():

@@ -277,6 +277,21 @@ def test_word_validation():
         GeneratorWord(((GeneratorSpec("diag", 1), 1),))
     with pytest.raises(ValueError):
         GeneratorWord(((GeneratorSpec("raise", 1), -2),))
+    with pytest.raises(ValueError):
+        GeneratorWord(((GeneratorSpec("lower", 0), 1),))
+    for text in ("E01^1", "F01^2 E12^1", "H12^1"):
+        with pytest.raises(ValueError):
+            GeneratorWord.from_text(text)
+    for item in ({"gen": "E", "row": 0, "exp": 1}, {"gen": "F", "row": -1, "exp": 1},
+                 {"gen": "H", "row": 1, "exp": 1}, {"gen": "X", "row": 1, "exp": 1}):
+        with pytest.raises(ValueError):
+            GeneratorWord.from_json([item])
+    # the letters round-trip through the same table, and mirror swaps E and F
+    word = GeneratorWord.from_json([{"gen": "E", "row": 2, "exp": 1},
+                                    {"gen": "F", "row": 1, "exp": 3}])
+    assert word.to_text() == "E23^1 F12^3"
+    assert word.mirror().to_json() == [{"gen": "E", "row": 1, "exp": 3},
+                                       {"gen": "F", "row": 2, "exp": 1}]
 
 
 LADDER = [Partition([2, 1, 0]), Partition([3, 2, 1, 0]), Partition([2, 1, 1, 1, 0]),

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from gtbasis.monomials import basis_matrix, monomial_family
+from gtbasis.operators import GTModule, act_diag
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
+from gtbasis.scalars import RadicalScalar
 from gtbasis.weights import (
     WeightVector,
     fundamental_coords,
@@ -123,3 +126,35 @@ def test_weight_vector_equality_and_hash():
     assert WeightVector([1, 1, 1]) == WeightVector((1, 1, 1))
     assert len({WeightVector([1, 1, 1]), WeightVector((1, 1, 1))}) == 1
     assert WeightVector([1, 1, 1]) != WeightVector([1, 1])
+
+
+@pytest.mark.parametrize("parts", [(2, 1, 0), (3, 2, 1, 0), (2, 1, 1, 1, 0)])
+def test_module_weights_drive_every_diagonal_generator(parts):
+    partition = Partition(list(parts))
+    module = GTModule(partition)
+    n = partition.n
+    h = [module.generator("diag", i) for i in range(1, n + 1)]
+    cartan = [module.generator("cartan", i) for i in range(1, n)]
+    zero = RadicalScalar.zero()
+    for c, xi in enumerate(module.basis):
+        kappa = module.weights[c]
+        assert kappa == weight_of(xi).kappa
+        # κ_i = content(i) − content(i−1), from the rows themselves
+        sums = [0] + [sum(row) for row in xi.rows]
+        assert kappa == tuple(sums[i] - sums[i - 1] for i in range(1, n + 1))
+        for i in range(1, n + 1):
+            assert act_diag(i, xi) == (kappa[i - 1], xi)
+            assert h[i - 1].cols[c].keys() <= {c}
+            assert h[i - 1].cols[c].get(c, zero) == RadicalScalar.from_rational(kappa[i - 1])
+        for i in range(1, n):
+            want = RadicalScalar.from_rational(kappa[i - 1] - kappa[i])
+            assert cartan[i - 1].cols[c].keys() <= {c}
+            assert cartan[i - 1].cols[c].get(c, zero) == want
+
+
+def test_module_weights_are_read_only_when_asked_for():
+    partition = Partition([3, 2, 1, 0])
+    module = GTModule(partition)
+    basis_matrix(monomial_family(partition, "canonical", module.basis), module)
+    assert "weights" not in vars(module)
+    assert module.weights is module.weights
