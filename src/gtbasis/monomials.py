@@ -198,10 +198,11 @@ def family_to_json(family: MonomialFamily, family_rank: int | None = None) -> di
 
 def family_from_json(data: dict) -> MonomialFamily:
     """Rebuild a family from its JSON document (structure only)."""
-    partition = Partition(data["partition"])
-    patterns = [
-        GTPattern.from_string(item["pattern"], partition) for item in data["entries"]
-    ]
-    words = [GeneratorWord.from_text(item["word"]) for item in data["entries"]]
-    duplicate_of = [item["duplicate_of"] for item in data["entries"]]
-    return MonomialFamily(partition, data["schedule"], patterns, words, duplicate_of)
+    try:
+        partition, entries = Partition(data["partition"]), data["entries"]
+        patterns = [GTPattern.from_string(item["pattern"], partition) for item in entries]
+        words = [GeneratorWord.from_text(item["word"]) for item in entries]
+        duplicate_of = [item["duplicate_of"] for item in entries]
+        return MonomialFamily(partition, data["schedule"], patterns, words, duplicate_of)
+    except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: text not a str
+        raise ValueError("malformed family document: %r" % (exc,)) from None

@@ -263,12 +263,8 @@ class OperatorMatrix:
                 acc = acc + col[c]
         return acc
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OperatorMatrix)
-            and self.dim == other.dim
-            and self.cols == other.cols
-        )
+    def __eq__(self, other):  # dim is len(cols)
+        return isinstance(other, OperatorMatrix) and self.cols == other.cols
 
     def transpose(self) -> "OperatorMatrix":
         cols: list[dict[int, RadicalScalar]] = [{} for _ in self.cols]
@@ -417,7 +413,9 @@ class _Elements(dict):
     """E_{i,j} (i != j) of one module, keyed (i, j), each built on first use.
 
     E_{i,j} with |i-j| = 1 is a plain raising/lowering generator; otherwise
-    E_{i,j} = [E_{i,k}, E_{k,j}] with k one step from i toward j.
+    E_{i,j} = [E_{i,k}, E_{k,j}] with k one step from i toward j.  Only
+    general_element and the per-check fallback of verify_sln_relations read
+    a non-adjacent E_{i,j}.
     """
 
     def __init__(self, module: GTModule):
@@ -490,11 +488,17 @@ def verify_sln_relations(
     Covers [E_{i,j}, E_{j,l}] = E_{i,l}, [E_{i,j}, E_{j,i}] = H_i - H_j,
     vanishing brackets for disjoint index pairs, zero traces of all E_{i,j},
     and zero traces of the cartan differences; every named check is
-    reported.  Matrices satisfying Serre's relations on e_k = E(k,k+1),
-    f_k = E(k+1,k) and H_k − H_{k+1} define an sl_n module (Humphreys,
-    Introduction to Lie Algebras and Representation Theory, §18.3), in which
-    each E_{i,j} of the element table is the image of a matrix unit: then
-    every bracket check holds.  Otherwise each is decided by its commutator.
+    reported.  Let e_k = E(k,k+1), f_k = E(k+1,k), h_k = H_k − H_{k+1}.  If
+    every H_i is diagonal, e_k (f_k) moves the weight by +α_k (−α_k) and
+    [e_k, f_l] = δ_kl h_k, then ad makes each (e_i, f_i, h_i) an sl_2-triple
+    on this finite-dimensional module.  For u = [e_i, e_j] (|i−j| > 1) or
+    [e_i, [e_i, e_j]] (|i−j| = 1), [f_i, u] = 0 and u has ad h_i-weight 2 or
+    3, so u = 0 (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, §7.2, §18.1); likewise for the f's (Kac, Infinite-Dimensional
+    Lie Algebras, ch. 3).  So Serre's relations hold and the matrices define
+    an sl_n module (Humphreys §18.3), in which each E_{i,j} of the element
+    table is the image of a matrix unit: every bracket check holds.
+    Otherwise each is decided by its commutator.
     """
     n = partition.n
     if module is None:
@@ -512,12 +516,7 @@ def verify_sln_relations(
             return mats[(p[0], q[1])]
         return diags[p[0]] - diags[p[1]]
 
-    ups = [(k, k + 1) for k in range(1, n)]
-    downs = [(k + 1, k) for k in reversed(range(1, n))]
-    serre = [(e, f) for e in ups for f in downs]
-    for chain in (ups, downs):  # the table builds E(a[0],b[1]) = [a,b] for a, b adjacent
-        serre += [(p, q) for x, p in enumerate(chain) for q in chain[x + 2 :]]
-        serre += [(g, (a[0], b[1])) for a, b in zip(chain, chain[1:]) for g in (a, b)]
+    serre = [((k, k + 1), (l + 1, l)) for k in range(1, n) for l in range(1, n)]
     z, one = RadicalScalar.zero(), RadicalScalar.one()
     columns = list(enumerate(zip(*(diags[i].cols for i in idx))))
     weights = [tuple(col.get(c, z) for col in cols) for c, cols in columns]
@@ -543,17 +542,14 @@ def verify_sln_relations(
         ok = got == rhs
         report.record(name, ok, "" if ok else _first_difference(got, rhs))
 
-    for p in pairs:
-        # on the Serre path an unbuilt E(i,j) is a commutator, so traceless
-        tr = mats[p].trace() if p in mats or not holds else z
-        report.record(
-            "trace E(%d,%d) = 0" % p, tr.is_zero(), "" if tr.is_zero() else str(tr)
-        )
-    for i in range(1, n):
-        tr = (diags[i] - diags[i + 1]).trace()
-        report.record(
-            "trace cartan(%d) = 0" % i, tr.is_zero(), "" if tr.is_zero() else str(tr)
-        )
+    # when the relations hold no non-adjacent E(i,j) is built: each is a
+    # commutator, so traceless
+    traces = [("trace E(%d,%d) = 0" % p, mats[p].trace() if p in mats or not holds else z)
+              for p in pairs]
+    traces += [("trace cartan(%d) = 0" % i, (diags[i] - diags[i + 1]).trace())
+               for i in range(1, n)]
+    for name, tr in traces:
+        report.record(name, tr.is_zero(), "" if tr.is_zero() else str(tr))
     return report
 
 
@@ -575,13 +571,14 @@ def matrix_to_json(mat: OperatorMatrix) -> dict:
 
 
 def matrix_from_json(data: dict) -> OperatorMatrix:
-    entries = [
-        [RadicalScalar.from_json(cell) for cell in row] for row in data["entries"]
-    ]
-    meta = (Partition(data["partition"]), data["generator"], data["index"])
-    mat = OperatorMatrix(entries, meta=meta)
-    if mat.dim != data["dim"]:
-        raise ValueError("dim field %r does not match entries" % (data["dim"],))
+    try:
+        rows, dim = data["entries"], data["dim"]
+        meta = (Partition(data["partition"]), data["generator"], data["index"])
+        mat = OperatorMatrix([[RadicalScalar.from_json(x) for x in r] for r in rows], meta)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError("malformed matrix document: %r" % (exc,)) from None
+    if mat.dim != dim:
+        raise ValueError("dim field %r does not match entries" % (dim,))
     return mat
 
 

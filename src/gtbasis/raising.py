@@ -85,10 +85,11 @@ class GeneratorWord:
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "GeneratorWord":
-        return cls(
-            (GeneratorSpec.from_letter(item["gen"], int(item["row"])), int(item["exp"]))
-            for item in data
-        )
+        try:
+            return cls([(GeneratorSpec.from_letter(item["gen"], int(item["row"])),
+                         int(item["exp"])) for item in data])
+        except (KeyError, TypeError) as exc:
+            raise ValueError("malformed word document: %r" % (exc,)) from None
 
     def __eq__(self, other):
         return isinstance(other, GeneratorWord) and self.factors == other.factors

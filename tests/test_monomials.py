@@ -351,6 +351,13 @@ def test_family_json_round_trip():
     assert restored.partition == family.partition
     assert restored.words == family.words
     assert restored.duplicate_of == family.duplicate_of
+    no_duplicate_of = [{k: v for k, v in e.items() if k != "duplicate_of"}
+                       for e in doc["entries"]]
+    text_not_str = [{**e, "pattern": 5} for e in doc["entries"]]
+    for bad in ({}, {**doc, "entries": no_duplicate_of}, {**doc, "entries": ["E12"]},
+                {**doc, "entries": text_not_str}):
+        with pytest.raises(ValueError):
+            family_from_json(bad)
 
     canonical_doc = family_to_json(monomial_family(P210, "canonical"))
     assert canonical_doc["rank"] == 8 and canonical_doc["is_basis"] is True

@@ -285,6 +285,11 @@ def test_matrix_json_round_trip():
         assert doc["dim"] == 8
         restored = matrix_from_json(json.loads(json.dumps(doc)))
         assert restored == mat
+    zero_den = [[[{"radicand": 1, "num": 1, "den": 0}]] * doc["dim"]] * doc["dim"]
+    for bad in ({}, {**doc, "entries": ["E12"]}, {**doc, "dim": 7},
+                {**doc, "entries": zero_den}):
+        with pytest.raises(ValueError):
+            matrix_from_json(bad)
 
 
 def test_matrix_market_format():
@@ -618,13 +623,14 @@ PASSING = (None, *ADDED_TO_H)
 )
 def test_relation_report_matches_exhaustive_oracle(monkeypatch, corruption):
     _corrupting(monkeypatch, corruption)
-    for parts in ([2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0], [1, 1, 1, 0, 0, 0]):
+    for parts in ([2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0], [1, 1, 1, 0, 0, 0],
+                  [1, 0, 0, 0, 0, 0, 0]):
         partition = Partition(parts)
         report = verify_sln_relations(partition)
         assert report.checks == _oracle_relation_checks(partition), (parts, corruption)
         assert report.passed == (corruption in PASSING)
         n = partition.n
-        assert len(report.checks) == {3: 38, 4: 135, 5: 364, 6: 815}[n]
+        assert len(report.checks) == {3: 38, 4: 135, 5: 364, 6: 815, 7: 1602}[n]
 
 
 ENTRY_CHANGES = [
@@ -685,19 +691,18 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(operators, "commutator", counting)
-    serre = {2: 1, 3: 8, 4: 19, 5: 34, 6: 53}
     for corruption in (None, "tilt_h", "skew_h"):
         with monkeypatch.context() as patch:
             _corrupting(patch, corruption)
             for parts in ([1, 0], [2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0],
-                          [1, 1, 1, 0, 0, 0]):
+                          [1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]):
                 calls.clear()
                 n = len(parts)
                 report = verify_sln_relations(Partition(parts))
                 assert report.passed
                 if corruption is None:
-                    # only the E(i,i±2) of Serre's relations are built
-                    assert len(calls) == 2 * max(n - 2, 0) + serre[n], parts
+                    # only the brackets [e_k, f_l]; no non-adjacent E(i,j)
+                    assert len(calls) == (n - 1) ** 2, parts
                 else:
                     # Serre's relations fail on the H_i: all n(n-1) - 2(n-1)
                     # non-adjacent E(i,j) are built, and every bracket check is
