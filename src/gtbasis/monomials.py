@@ -138,6 +138,57 @@ def basis_matrix(
     return OperatorMatrix.from_columns(cols)
 
 
+def _float_rank(mat: OperatorMatrix) -> int:
+    """Singular values above 1e-9, counted one connected block at a time.
+
+    Rows that share a nonzero column are joined (union-find, O(nnz)); each
+    class with its columns is a block, and permuting rows and columns makes
+    the matrix block diagonal, so its singular values are those of the
+    blocks (Golub & Van Loan, §2.4).  A basis matrix's columns are weight
+    vectors, so no block is larger than a weight space.  Blocks of one
+    shape are stacked into a single SVD call.
+    """
+    import numpy as np
+
+    parent = list(range(mat.dim))
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    for col in mat.cols:
+        rows = iter(col)
+        first = next(rows, None)
+        for r in rows:
+            parent[find(r)] = find(first)
+    blocks: dict[int, tuple[list[int], list[int]]] = {}  # root -> (rows, cols)
+    for r in sorted(set().union(*mat.cols)):
+        blocks.setdefault(find(r), ([], []))[0].append(r)
+    for c, col in enumerate(mat.cols):
+        if col:
+            blocks[find(next(iter(col)))][1].append(c)
+    pos = [0] * mat.dim  # row -> its index within its block
+    by_shape: dict[tuple[int, int], list[list[int]]] = {}
+    for rows, cols in blocks.values():
+        for i, r in enumerate(rows):
+            pos[r] = i
+        by_shape.setdefault((len(rows), len(cols)), []).append(cols)
+    approx = 0
+    for (nr, nc), group in by_shape.items():
+        at, vals = [], []  # flat index into the stack, and value, per nonzero
+        for b, cols in enumerate(group):
+            for j, c in enumerate(cols, b * nr * nc):
+                for r, v in mat.cols[c].items():
+                    at.append(j + pos[r] * nc)
+                    vals.append(v.to_float())
+        stack = np.zeros(len(group) * nr * nc)
+        stack[at] = vals
+        sv = np.linalg.svd(stack.reshape(-1, nr, nc), compute_uv=False)
+        approx += int((sv > 1e-9).sum())
+    return approx
+
+
 def rank(mat: OperatorMatrix) -> int:
     """Exact rank by column reduction, cross-checked in floating point.
 
@@ -146,12 +197,12 @@ def rank(mat: OperatorMatrix) -> int:
     subtracted; what remains, if anything, is kept under its new leading
     row.  The rank is the number of kept columns.  A lower-triangular
     matrix with nonzero diagonal, such as every canonical family, keeps
-    each column as it is, with no division.  The float check counts
-    singular values above 1e-9, and any disagreement is an internal
-    error — the two computations share no code.
+    each column as it is, with no division.  The float check
+    (``_float_rank``) counts singular values above 1e-9 block by block, and
+    any disagreement is an internal error — the two computations share no
+    code.  It takes one SVD per connected block of the matrix, each at most
+    a weight space in size, never one of the whole d×d matrix.
     """
-    import numpy as np
-
     kept: dict[int, dict[int, RadicalScalar]] = {}  # leading row -> column
     for col in mat.cols:
         v = dict(col)
@@ -165,8 +216,7 @@ def rank(mat: OperatorMatrix) -> int:
             kept[lead] = v
     exact = len(kept)
 
-    sv = np.linalg.svd(np.array(mat.to_float_array(), dtype=float), compute_uv=False)
-    approx = int((sv > 1e-9).sum()) if sv.size else 0
+    approx = _float_rank(mat)
     if approx != exact:
         raise InternalConsistencyError(
             "exact rank %d disagrees with float rank %d" % (exact, approx)

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gtbasis import operators, raising
 from gtbasis.monomials import (
     UnsupportedScheduleError,
+    _float_rank,
     basis_matrix,
     family_from_json,
     family_to_json,
@@ -17,11 +19,11 @@ from gtbasis.monomials import (
     monomial_word,
     rank,
 )
-from gtbasis.operators import ModuleVector, OperatorMatrix
+from gtbasis.operators import InternalConsistencyError, ModuleVector, OperatorMatrix
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
 from gtbasis.raising import apply_word
 from gtbasis.scalars import RadicalScalar
-from gtbasis.weights import weight_of
+from gtbasis.weights import weight_decomposition, weight_of
 
 from golden_data import (
     ALTERNATE_DISTINCT_WORDS_210,
@@ -315,10 +317,16 @@ def _dependent_matrices(draw):
     )
 
 
+def _dense_float_rank(mat):
+    sv = numpy.linalg.svd(numpy.array(mat.to_float_array()), compute_uv=False)
+    return int((sv > 1e-9).sum())
+
+
 @settings(max_examples=300, deadline=None)
 @given(_dependent_matrices())
 def test_rank_matches_reference_elimination(mat):
     assert rank(mat) == _reference_rank(mat)
+    assert _float_rank(mat) == _dense_float_rank(mat)
 
 
 def test_rank_edge_cases():
@@ -335,6 +343,46 @@ def test_rank_edge_cases():
     mat2 = OperatorMatrix([[one, s2], [s2, one]])
     assert rank(mat2) == 2
     assert rank(OperatorMatrix([[z]])) == 0
+    assert rank(OperatorMatrix.zero(0)) == 0
+
+
+_LARGE_CANONICAL = [Partition(parts)
+                    for parts in ([12, 6, 0], [5, 3, 2, 0], [3, 2, 1, 0, 0])]
+
+
+def test_float_rank_counts_as_the_dense_svd_on_canonical_matrices():
+    for partition in _LARGE_CANONICAL:
+        mat = basis_matrix(monomial_family(partition, "canonical"))
+        assert _float_rank(mat) == _dense_float_rank(mat) == mat.dim, partition
+
+
+def test_float_check_fires_inside_a_block():
+    """A singular value below 1e-9 in a block of its own is still counted
+    out, so an exact rank of 3 meets a float rank of 2."""
+    one = RadicalScalar.one()
+    tiny = RadicalScalar.from_rational(Fraction(1, 10**12))
+    mat = OperatorMatrix.from_columns([{0: one}, {1: one}, {2: tiny}])
+    with pytest.raises(InternalConsistencyError,
+                       match="exact rank 3 disagrees with float rank 2"):
+        rank(mat)
+
+
+def test_float_check_never_sees_the_whole_matrix(monkeypatch):
+    """Every SVD input is a stack of blocks no larger than a weight space."""
+    partition = _LARGE_CANONICAL[0]
+    mat = basis_matrix(monomial_family(partition, "canonical"))
+    largest = max(map(len, weight_decomposition(partition).values()))
+    shapes = []
+    original = numpy.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(numpy.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(numpy.linalg, "svd", recording)
+    assert rank(mat) == mat.dim == 343
+    assert shapes and largest < mat.dim
+    assert all(max(shape[-2:]) <= largest for shape in shapes), (largest, shapes)
 
 
 def test_family_json_round_trip():
