@@ -46,13 +46,11 @@ class Partition:
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
-        """Parse a comma-separated list like "2,1,0"."""
+        """Parse a comma-separated list like "2,1,0"; an empty field is an error."""
         try:
-            parts = [int(tok) for tok in text.replace(" ", "").split(",") if tok != ""]
+            parts = [int(tok) for tok in text.replace(" ", "").split(",")]
         except ValueError:
             raise ValueError("malformed partition %r" % (text,)) from None
-        if not parts:
-            raise ValueError("malformed partition %r" % (text,))
         return cls(parts)
 
     def __str__(self):

@@ -59,6 +59,8 @@ def test_dim_rejects_malformed_partition():
     assert "weakly decreasing" in res.output
     run(["dim", "a,b"], expect_exit=2)
     run(["dim", ""], expect_exit=2)
+    for text in ("2,1,,", "2,,1,0", ",2,1,0", "2,1,0,"):
+        run(["dim", text], expect_exit=2)
 
 
 # -- patterns ----------------------------------------------------------------

@@ -211,17 +211,23 @@ def test_column_weight_matches_source_pattern():
                 assert weight_of(t) == weight_of(source)
 
 
-def test_canonical_rank_equals_dimension_exhaustive(monkeypatch):
-    """Canonical basis matrices are lower-triangular with nonzero diagonal,
-    so the column reduction keeps every column without a division."""
-    invert_calls = []
+@pytest.fixture
+def invert_calls(monkeypatch):
+    """The list of RadicalScalar.invert calls, appended as they happen."""
+    calls = []
     original = RadicalScalar.invert
 
     def counting(self):
-        invert_calls.append(self)
+        calls.append(self)
         return original(self)
 
     monkeypatch.setattr(RadicalScalar, "invert", counting)
+    return calls
+
+
+def test_canonical_rank_equals_dimension_exhaustive(invert_calls):
+    """Canonical basis matrices are lower-triangular with nonzero diagonal,
+    so the column reduction keeps every column without a division."""
     partitions = [p for n, max_m1 in ((2, 4), (3, 4), (4, 3))
                   for p in all_partitions(n, max_m1)]
     for partition in partitions + [Partition([2, 1, 1, 1, 0])]:
@@ -235,12 +241,17 @@ def test_canonical_rank_equals_dimension_exhaustive(monkeypatch):
         assert invert_calls == [], partition
 
 
-def test_duplicates_imply_rank_deficit():
+def test_duplicates_imply_rank_deficit(invert_calls):
+    """A repeated word's column equals the kept column of its first
+    occurrence, so it is dropped without a division."""
     extra = [Partition(parts) for parts in ([6, 3, 0], [7, 3, 0], [8, 4, 0])]
     for partition in all_partitions(3, 4) + extra:
         family = monomial_family(partition, "alternate")
-        r = rank(basis_matrix(family))
+        mat = basis_matrix(family)
+        invert_calls.clear()
+        r = rank(mat)
         assert r == family.distinct_count, partition
+        assert invert_calls == [], partition
         if family.distinct_count < len(family.patterns):
             assert r < len(family.patterns)
 
@@ -344,6 +355,15 @@ def test_rank_edge_cases():
     assert rank(mat2) == 2
     assert rank(OperatorMatrix([[z]])) == 0
     assert rank(OperatorMatrix.zero(0)) == 0
+    # equal columns that are separate objects: rank 1.
+    twins = OperatorMatrix.from_columns(
+        [{0: s2, 1: one}, {0: RadicalScalar({2: 1}), 1: RadicalScalar.one()}]
+    )
+    assert twins.cols[0] is not twins.cols[1]
+    assert rank(twins) == 1
+    # the last column equals a pivot that was reduced before it was kept.
+    reduced = OperatorMatrix.from_columns([{0: one}, {0: one, 1: s2}, {1: s2}])
+    assert rank(reduced) == 2
 
 
 _LARGE_CANONICAL = [Partition(parts)
