@@ -13,13 +13,7 @@ import sys
 
 import click
 
-from .monomials import (
-    UnsupportedScheduleError,
-    basis_matrix,
-    family_to_json,
-    monomial_family,
-    rank,
-)
+from .monomials import basis_matrix, family_to_json, monomial_family, rank
 from .operators import (
     GTModule,
     GeneratorSpec,
@@ -30,7 +24,14 @@ from .operators import (
     verify_sln_relations,
 )
 from .patterns import GTPattern, Partition, PatternShapeError, dimension, enumerate_patterns
-from .raising import CertificationError, raising_word, simplicity_certificate, verify_raise
+from .raising import (
+    SCHEDULES,
+    CertificationError,
+    UnsupportedScheduleError,
+    raising_word,
+    simplicity_certificate,
+    verify_raise,
+)
 from .weights import fundamental_coords, weight_decomposition, weight_of
 
 
@@ -336,7 +337,7 @@ def raise_cmd(partition, pattern_text, fmt, output):
 
 @main.command()
 @click.argument("partition", type=PARTITION)
-@click.option("--schedule", type=click.Choice(["canonical", "alternate"]),
+@click.option("--schedule", type=click.Choice(list(SCHEDULES)),
               default="canonical", show_default=True,
               help="Sweep schedule generating the words.")
 @click.option("--strict", is_flag=True,

@@ -19,29 +19,14 @@ from .operators import (
     _subtract_into,
 )
 from .patterns import GTPattern, Partition, enumerate_patterns
-from .raising import (
-    GeneratorWord,
-    alternate_row_order,
-    canonical_row_order,
-    sweep_exponents,
-)
+from .raising import SCHEDULES, GeneratorWord, UnsupportedScheduleError, sweep_exponents
 from .scalars import RadicalScalar
-
-
-class UnsupportedScheduleError(ValueError):
-    """Asked for a sweep schedule that does not exist for this n."""
 
 
 def resolve_schedule(n: int, schedule) -> tuple[str, list[int]]:
     """Normalize a schedule descriptor to (name, application row order)."""
-    if schedule == "canonical":
-        return "canonical", canonical_row_order(n)
-    if schedule == "alternate":
-        if n != 3:
-            raise UnsupportedScheduleError(
-                "alternate schedule needs n=3, got n=%d" % n
-            )
-        return "alternate", alternate_row_order(n)
+    if isinstance(schedule, str) and schedule in SCHEDULES:
+        return schedule, SCHEDULES[schedule](n)
     if isinstance(schedule, (list, tuple)):
         order = [int(r) for r in schedule]
         if not all(1 <= r <= n - 1 for r in order):
@@ -113,8 +98,7 @@ def basis_matrix(
     generator matrices come from ``module`` (one over ``family.patterns``
     when none is given), so each is built once.
     """
-    if module is None:
-        module = GTModule(family.partition, family.patterns)
+    module = GTModule.of(family.partition, module, family.patterns)
     steps = [
         tuple((spec.kind, spec.index) for spec, exp in reversed(word.factors)
               for _ in range(exp))

@@ -332,13 +332,13 @@ def _subtract_into(
 
 
 class GTModule:
-    """One module's pattern basis and generator matrices, shared by one verdict.
+    """One module's pattern basis and its matrices E(i,j), shared by one verdict.
 
     Holds the basis (enumerated once, or given in ascending order), the
     ``{rows: index}`` map, β's index, the square roots of the generator
     coefficients met so far, each basis pattern's weight (κ_1, ..., κ_n),
-    read on first use, and each generator matrix, built through
-    ``operator_matrix`` on first use.  Nothing is kept between verdicts.
+    read on first use, and each generator matrix and E(i,j), built on first
+    use.  Nothing is kept between verdicts.
     """
 
     def __init__(self, partition: Partition, basis: list[GTPattern] | None = None):
@@ -347,11 +347,21 @@ class GTModule:
         self.index = {pat.rows: i for i, pat in enumerate(self.basis)}
         self.beta = self.index[highest_pattern(partition).rows]
         self.roots: dict[tuple[int, int], RadicalScalar] = {}
-        self._mats: dict[tuple[str, int], OperatorMatrix] = {}
+        self._mats: dict[tuple, OperatorMatrix] = {}  # (kind, index) or (i, j)
 
     @cached_property
     def weights(self) -> list[tuple[int, ...]]:
         return [weight_of(pat).kappa for pat in self.basis]
+
+    @classmethod
+    def of(cls, partition: Partition, module: GTModule | None = None,
+           basis: list[GTPattern] | None = None) -> GTModule:
+        """``module`` if it is built for ``partition``, else a new one over ``basis``."""
+        if module is None:
+            return cls(partition, basis)
+        if module.partition != partition:
+            raise ValueError("module is for %s, not %s" % (module.partition, partition))
+        return module
 
     def generator(self, kind: str, index: int) -> OperatorMatrix:
         """E_k ("raise"), F_k ("lower"), H_i ("diag") or a cartan difference."""
@@ -361,14 +371,27 @@ class GTModule:
             mat = self._mats[(kind, index)] = operator_matrix(spec, self.partition, self)
         return mat
 
+    def element(self, i: int, j: int) -> OperatorMatrix:
+        """E(i,j) (i != j): E_i or F_j if adjacent, else [E(i,k), E(k,j)], k = i ± 1."""
+        n = self.partition.n
+        if i == j:
+            raise ValueError("diagonal element requested; use diag/cartan")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError("indices (%d,%d) out of range for n=%d" % (i, j, n))
+        if abs(i - j) == 1:
+            return self.generator("raise" if i < j else "lower", min(i, j))
+        if (i, j) not in self._mats:
+            k = i + 1 if i < j else i - 1
+            self._mats[(i, j)] = commutator(self.element(i, k), self.element(k, j))
+        return self._mats[(i, j)]
+
 
 def operator_matrix(
     spec: GeneratorSpec, partition: Partition, module: GTModule | None = None
 ) -> OperatorMatrix:
     """Matrix of a generator over the ascending pattern basis of the module."""
     spec.check_range(partition.n)
-    if module is None:
-        module = GTModule(partition)
+    module = GTModule.of(partition, module)
     index, k = module.index, spec.index
     if spec.kind in ("raise", "lower"):
         step, roots = (1 if spec.kind == "raise" else -1), module.roots
@@ -409,38 +432,9 @@ def off_weight(mat: OperatorMatrix, weights, k: int, step) -> tuple[int, int] | 
 Pair = tuple[int, int]
 
 
-class _Elements(dict):
-    """E_{i,j} (i != j) of one module, keyed (i, j), each built on first use.
-
-    E_{i,j} with |i-j| = 1 is a plain raising/lowering generator; otherwise
-    E_{i,j} = [E_{i,k}, E_{k,j}] with k one step from i toward j.  Only
-    general_element and the per-check fallback of verify_sln_relations read
-    a non-adjacent E_{i,j}.
-    """
-
-    def __init__(self, module: GTModule):
-        super().__init__()
-        self.module = module
-
-    def __missing__(self, p: Pair) -> OperatorMatrix:
-        i, j = p
-        if abs(i - j) == 1:
-            mat = self.module.generator("raise" if i < j else "lower", min(p))
-        else:
-            k = i + 1 if i < j else i - 1
-            mat = commutator(self[(i, k)], self[(k, j)])
-        self[p] = mat
-        return mat
-
-
 def general_element(i: int, j: int, partition: Partition) -> OperatorMatrix:
     """Matrix of E_{i,j} (i != j); non-adjacent indices via nested brackets."""
-    n = partition.n
-    if i == j:
-        raise ValueError("diagonal element requested; use diag/cartan")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("indices (%d,%d) out of range for n=%d" % (i, j, n))
-    return _Elements(GTModule(partition))[(i, j)]
+    return GTModule(partition).element(i, j)
 
 
 class RelationReport:
@@ -497,14 +491,18 @@ def verify_sln_relations(
     Theory, §7.2, §18.1); likewise for the f's (Kac, Infinite-Dimensional
     Lie Algebras, ch. 3).  So Serre's relations hold and the matrices define
     an sl_n module (Humphreys §18.3), in which each E_{i,j} of the element
-    table is the image of a matrix unit: every bracket check holds.
-    Otherwise each is decided by its commutator.
+    table is the image of a matrix unit: every bracket check holds.  Every
+    trace check holds too: each entry of e_k and f_k moves the weight by
+    ±α_k ≠ 0, so neither has a diagonal entry; h_k = [e_k, f_k] was just
+    checked exactly; every other E(i,j) is a commutator; and a commutator's
+    trace is 0.  So when those checks hold, every named check is recorded
+    as holding and nothing more is computed.  Otherwise each check is
+    decided on its own, reading ``module.element``.
     """
     n = partition.n
-    if module is None:
-        module = GTModule(partition)
+    module = GTModule.of(partition, module)
     report = RelationReport(partition)
-    mats = _Elements(module)
+    element = module.element
     idx = range(1, n + 1)
     diags = {i: module.generator("diag", i) for i in idx}
     zero = OperatorMatrix.zero(len(module.basis))
@@ -513,7 +511,7 @@ def verify_sln_relations(
         if p[1] != q[0]:
             return zero
         if p[0] != q[1]:
-            return mats[(p[0], q[1])]
+            return element(p[0], q[1])
         return diags[p[0]] - diags[p[1]]
 
     serre = [((k, k + 1), (l + 1, l)) for k in range(1, n) for l in range(1, n)]
@@ -522,10 +520,10 @@ def verify_sln_relations(
     weights = [tuple(col.get(c, z) for col in cols) for c, cols in columns]
     holds = (  # every H_i diagonal, then the weight and the bracket relations
         all(col.keys() <= {c} for c, cols in columns for col in cols)
-        and all(off_weight(mats[(k, k + 1)], weights, k, one) is None
-                and off_weight(mats[(k + 1, k)], weights, k, -one) is None
+        and all(off_weight(element(k, k + 1), weights, k, one) is None
+                and off_weight(element(k + 1, k), weights, k, -one) is None
                 for k in range(1, n))
-        and all(commutator(mats[p], mats[q]) == want(p, q) for p, q in serre)
+        and all(commutator(element(*p), element(*q)) == want(p, q) for p, q in serre)
     )
     pairs = [(i, j) for i in idx for j in idx if i != j]
     brackets = [(p, (p[1], l)) for p in pairs for l in idx if l not in p]
@@ -538,17 +536,14 @@ def verify_sln_relations(
         if holds:
             report.record(name, True)
             continue
-        got, rhs = commutator(mats[p], mats[q]), want(p, q)
+        got, rhs = commutator(element(*p), element(*q)), want(p, q)
         ok = got == rhs
         report.record(name, ok, "" if ok else _first_difference(got, rhs))
-
-    # when the relations hold no non-adjacent E(i,j) is built: each is a
-    # commutator, so traceless
-    traces = [("trace E(%d,%d) = 0" % p, mats[p].trace() if p in mats or not holds else z)
-              for p in pairs]
-    traces += [("trace cartan(%d) = 0" % i, (diags[i] - diags[i + 1]).trace())
+    traces = [("trace E(%d,%d) = 0" % p, lambda p=p: element(*p)) for p in pairs]
+    traces += [("trace cartan(%d) = 0" % i, lambda i=i: diags[i] - diags[i + 1])
                for i in range(1, n)]
-    for name, tr in traces:
+    for name, mat in traces:
+        tr = z if holds else mat().trace()
         report.record(name, tr.is_zero(), "" if tr.is_zero() else str(tr))
     return report
 
@@ -575,7 +570,7 @@ def matrix_from_json(data: dict) -> OperatorMatrix:
         rows, dim = data["entries"], data["dim"]
         meta = (Partition(data["partition"]), data["generator"], data["index"])
         mat = OperatorMatrix([[RadicalScalar.from_json(x) for x in r] for r in rows], meta)
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError("malformed matrix document: %r" % (exc,)) from None
     if mat.dim != dim:
         raise ValueError("dim field %r does not match entries" % (dim,))

@@ -27,6 +27,10 @@ class CertificationError(RuntimeError):
     """A raising word failed to land exactly on the highest pattern."""
 
 
+class UnsupportedScheduleError(ValueError):
+    """Asked for a sweep schedule that does not exist for this n."""
+
+
 class GeneratorWord:
     """A product of raising/lowering generator powers, in written order."""
 
@@ -121,8 +125,12 @@ def canonical_row_order(n: int) -> list[int]:
 def alternate_row_order(n: int) -> list[int]:
     """The n=3 variant that starts each pass on row 2: [2, 1, 2]."""
     if n != 3:
-        raise ValueError("alternate schedule is defined for n=3 only")
+        raise UnsupportedScheduleError("alternate schedule needs n=3, got n=%d" % n)
     return [2, 1, 2]
+
+
+# schedule name -> its application row order for a given n
+SCHEDULES = {"canonical": canonical_row_order, "alternate": alternate_row_order}
 
 
 def sweep_exponents(xi: GTPattern, row_order: list[int]) -> list[int]:
@@ -297,8 +305,7 @@ def simplicity_certificate(
     """
     from . import monomials  # deferred: monomials imports this module
 
-    if module is None:
-        module = GTModule(partition)
+    module = GTModule.of(partition, module)
     _check_ladder(module)
     family = monomials.monomial_family(partition, "canonical", module.basis)
     mat = monomials.basis_matrix(family, module)

@@ -262,10 +262,15 @@ class RadicalScalar:
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "RadicalScalar":
-        terms = {
-            int(item["radicand"]): Fraction(int(item["num"]), int(item["den"]))
-            for item in data
-        }
+        """Read ``to_json`` output; a repeated radicand is a ValueError."""
+        try:
+            items = [(int(item["radicand"]), Fraction(int(item["num"]), int(item["den"])))
+                     for item in data]
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError("malformed scalar document: %r" % (exc,)) from None
+        terms = dict(items)
+        if len(terms) != len(items):
+            raise ValueError("repeated radicand in %r" % (data,))
         return cls(terms)
 
 

@@ -50,8 +50,12 @@ class WeightVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "WeightVector":
-        w = cls(data["kappa"])
-        if list(data.get("fundamental", fundamental_coords(w))) != fundamental_coords(w):
+        try:
+            w = cls(data["kappa"])
+            fundamental = list(data.get("fundamental", fundamental_coords(w)))
+        except (KeyError, TypeError) as exc:
+            raise ValueError("malformed weight document: %r" % (exc,)) from None
+        if fundamental != fundamental_coords(w):
             raise ValueError("inconsistent fundamental coordinates in %r" % (data,))
         return w
 

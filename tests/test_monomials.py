@@ -19,7 +19,12 @@ from gtbasis.monomials import (
     monomial_word,
     rank,
 )
-from gtbasis.operators import InternalConsistencyError, ModuleVector, OperatorMatrix
+from gtbasis.operators import (
+    GTModule,
+    InternalConsistencyError,
+    ModuleVector,
+    OperatorMatrix,
+)
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
 from gtbasis.raising import apply_word
 from gtbasis.scalars import RadicalScalar
@@ -165,6 +170,13 @@ def test_basis_matrix_columns_are_word_images():
         family = monomial_family(Partition(parts), schedule)
         assert basis_matrix(family) == _word_by_word(family), (parts, schedule)
     assert rank(basis_matrix(monomial_family(P110, "canonical"))) == 3
+
+
+def test_basis_matrix_refuses_a_module_of_another_partition():
+    family = monomial_family(P210, "canonical")
+    assert basis_matrix(family, GTModule(P210)) == basis_matrix(family)
+    with pytest.raises(ValueError):
+        basis_matrix(family, GTModule(P110))
 
 
 def test_basis_matrix_builds_each_lowering_matrix_once(monkeypatch):

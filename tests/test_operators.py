@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gtbasis import operators
 from gtbasis.operators import (
+    GTModule,
     GeneratorSpec,
     InternalConsistencyError,
     ModuleVector,
@@ -237,6 +238,47 @@ def test_general_element_examples():
         general_element(2, 2, P210)
 
 
+def test_module_element_is_built_once(monkeypatch):
+    calls = []
+    original = operators.commutator
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(operators, "commutator", counting)
+    for parts in ([2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0]):
+        partition = Partition(parts)
+        module = GTModule(partition)
+        n = partition.n
+        for k in range(1, n):
+            assert module.element(k, k + 1) is module.generator("raise", k)
+            assert module.element(k + 1, k) is module.generator("lower", k)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    mat = module.element(i, j)
+                    calls.clear()
+                    assert module.element(i, j) is mat
+                    assert not calls
+                    assert mat == general_element(i, j, partition)
+        for i, j in ((1, 1), (0, 1), (1, n + 1), (n + 1, 1)):
+            with pytest.raises(ValueError):
+                module.element(i, j)
+
+
+def test_module_of_another_partition_is_refused():
+    module = GTModule(P110)
+    assert GTModule.of(P110, module) is module
+    assert GTModule.of(P210).partition == P210
+    with pytest.raises(ValueError, match="module is for 1,1,0, not 2,1,0"):
+        GTModule.of(P210, module)
+    with pytest.raises(ValueError):
+        verify_sln_relations(P210, module)
+    with pytest.raises(ValueError):
+        operator_matrix(GeneratorSpec("raise", 1), P210, module)
+
+
 def test_matrix_algebra():
     e = operator_matrix(GeneratorSpec("raise", 1), P210)
     ident = OperatorMatrix.identity(8)
@@ -286,8 +328,10 @@ def test_matrix_json_round_trip():
         restored = matrix_from_json(json.loads(json.dumps(doc)))
         assert restored == mat
     zero_den = [[[{"radicand": 1, "num": 1, "den": 0}]] * doc["dim"]] * doc["dim"]
+    twice = [[[{"radicand": 2, "num": "1", "den": "1"},
+               {"radicand": 2, "num": "3", "den": "1"}]] * doc["dim"]] * doc["dim"]
     for bad in ({}, {**doc, "entries": ["E12"]}, {**doc, "dim": 7},
-                {**doc, "entries": zero_den}):
+                {**doc, "entries": zero_den}, {**doc, "entries": twice}):
         with pytest.raises(ValueError):
             matrix_from_json(bad)
 
@@ -683,30 +727,39 @@ def test_relation_report_matches_oracle_with_one_entry_changed(
 
 
 def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
-    calls = []
-    original = operators.commutator
+    calls, traces = [], []
+    original, original_trace = operators.commutator, OperatorMatrix.trace
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
+    def counting_trace(mat):
+        traces.append(mat)
+        return original_trace(mat)
+
     monkeypatch.setattr(operators, "commutator", counting)
+    monkeypatch.setattr(OperatorMatrix, "trace", counting_trace)
     for corruption in (None, "tilt_h", "skew_h"):
         with monkeypatch.context() as patch:
             _corrupting(patch, corruption)
             for parts in ([1, 0], [2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0],
                           [1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]):
                 calls.clear()
+                traces.clear()
                 n = len(parts)
                 report = verify_sln_relations(Partition(parts))
                 assert report.passed
                 if corruption is None:
-                    # only the brackets [e_k, f_l]; no non-adjacent E(i,j)
+                    # only the brackets [e_k, f_l]; no non-adjacent E(i,j),
+                    # and no trace: every trace check follows from them
                     assert len(calls) == (n - 1) ** 2, parts
+                    assert not traces, parts
                 else:
                     # Serre's relations fail on the H_i: all n(n-1) - 2(n-1)
-                    # non-adjacent E(i,j) are built, and every bracket check is
-                    # decided by its own commutator; the traces are not
+                    # non-adjacent E(i,j) are built, and every bracket and
+                    # trace check is decided on its own
                     table = (n - 1) * (n - 2)
                     brackets = len(report.checks) - n * (n - 1) - (n - 1)
                     assert len(calls) == table + brackets, parts
+                    assert len(traces) == n * (n - 1) + (n - 1), parts

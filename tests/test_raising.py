@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import gtbasis
 from gtbasis import monomials, operators, raising
 from gtbasis.cli import main
 from gtbasis.operators import (
@@ -18,6 +19,7 @@ from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
 from gtbasis.raising import (
     CertificationError,
     GeneratorWord,
+    UnsupportedScheduleError,
     alternate_row_order,
     apply_word,
     canonical_row_order,
@@ -70,8 +72,10 @@ def test_canonical_row_order_shape():
     assert canonical_row_order(3) == [1, 2, 1]
     assert canonical_row_order(4) == [1, 2, 3, 1, 2, 1]
     assert alternate_row_order(3) == [2, 1, 2]
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedScheduleError, match="needs n=3, got n=4"):
         alternate_row_order(4)
+    assert monomials.UnsupportedScheduleError is UnsupportedScheduleError
+    assert gtbasis.UnsupportedScheduleError is UnsupportedScheduleError
 
 
 def test_canonical_triples_210():
@@ -247,6 +251,13 @@ def test_simplicity_certificate_small():
     report320 = simplicity_certificate(P320)
     assert report320.certified
     assert (report320.raised, report320.rank) == (15, 15)
+
+
+def test_certificate_refuses_a_module_of_another_partition():
+    module = GTModule(P210)
+    assert simplicity_certificate(P210, module).certified
+    with pytest.raises(ValueError):
+        simplicity_certificate(P210, GTModule(Partition([1, 1, 0])))
 
 
 def test_raise_sum_reports_cancellation():

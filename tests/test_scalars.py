@@ -137,6 +137,11 @@ def test_json_round_trip():
     assert RadicalScalar.from_json(json.loads(json.dumps(doc))) == x
     assert ZERO.to_json() == []
     assert RadicalScalar.from_json([]) == ZERO
+    one = {"radicand": 2, "num": "1", "den": "1"}
+    for bad in ([one, {**one, "num": "3"}], [{"radicand": 2}], [{**one, "den": "0"}],
+                [1], 5, [{**one, "num": "x"}]):
+        with pytest.raises(ValueError):
+            RadicalScalar.from_json(bad)
 
 
 def random_scalar(rng, max_terms=3, allow_zero=True):

@@ -118,8 +118,10 @@ def test_weight_json_round_trip():
         "epsilon_string": "ε_2 + 2ε_3",
     }
     assert WeightVector.from_json(json.loads(json.dumps(doc))) == w
-    with pytest.raises(ValueError):
-        WeightVector.from_json({"kappa": [0, 1, 2], "fundamental": [9, 9]})
+    for bad in ({"kappa": [0, 1, 2], "fundamental": [9, 9]}, {}, [], {"kappa": 5},
+                {"kappa": [0, 1, 2], "fundamental": 3}):
+        with pytest.raises(ValueError):
+            WeightVector.from_json(bad)
 
 
 def test_weight_vector_equality_and_hash():
