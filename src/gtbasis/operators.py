@@ -413,11 +413,33 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     )
 
 
-def off_weight(mat: OperatorMatrix, weights, k: int, step) -> tuple[int, int] | None:
+def _rational_weights(diags: list[OperatorMatrix]) -> list[tuple] | None:
+    """Each basis vector's (κ_1, ..., κ_n), read off the H_i as exact rationals.
+
+    A κ_i is an int when it is integral, else a Fraction.  None unless every
+    H_i is diagonal with rational entries.
+    """
+    weights = []
+    for c, cols in enumerate(zip(*(h.cols for h in diags))):
+        kappa = []
+        for col in cols:
+            if not col:
+                kappa.append(0)
+                continue
+            v = col.get(c)
+            if v is None or len(col) > 1 or len(v.terms) > 1 or 1 not in v.terms:
+                return None  # an off-diagonal or an irrational entry
+            r = v.terms[1]
+            kappa.append(r.numerator if r.denominator == 1 else r)
+        weights.append(tuple(kappa))
+    return weights
+
+
+def off_weight(mat: OperatorMatrix, weights, k: int, step: int) -> tuple[int, int] | None:
     """First (row, column) entry of mat not moving the weight by step·α_k, or None.
 
-    weights[c] = (κ_1, ..., κ_n) of basis vector c, α_k = ε_k − ε_{k+1}, and
-    step is ±1 in the type of the κ_i.
+    weights[c] = (κ_1, ..., κ_n) of basis vector c, exact rationals (int or
+    Fraction), α_k = ε_k − ε_{k+1}, and step is the int +1 or −1.
     """
     for c, col in enumerate(mat.cols):
         if col:
@@ -482,8 +504,14 @@ def verify_sln_relations(
     Covers [E_{i,j}, E_{j,l}] = E_{i,l}, [E_{i,j}, E_{j,i}] = H_i - H_j,
     vanishing brackets for disjoint index pairs, zero traces of all E_{i,j},
     and zero traces of the cartan differences; every named check is
-    reported.  Let e_k = E(k,k+1), f_k = E(k+1,k), h_k = H_k − H_{k+1}.  If
-    every H_i is diagonal, e_k (f_k) moves the weight by +α_k (−α_k) and
+    reported.  Let e_k = E(k,k+1), f_k = E(k+1,k), h_k = H_k − H_{k+1}.  The
+    gate checks that every H_i is diagonal with rational entries (the
+    weights, compared as ints or Fractions), that f_k = e_kᵀ, that every
+    entry of e_k moves the weight by +α_k, and that [e_k, f_l] = δ_kl h_k
+    for k ≤ l.  Then every entry of f_k = e_kᵀ moves the weight by −α_k, and
+    [e_l, f_k] = e_l e_kᵀ − e_kᵀ e_l = (e_k f_l − f_l e_k)ᵀ = [e_k, f_l]ᵀ
+    = δ_kl h_k, since h_k is diagonal: so [e_k, f_l] = δ_kl h_k for all k, l.
+    If every H_i is diagonal, e_k (f_k) moves the weight by +α_k (−α_k) and
     [e_k, f_l] = δ_kl h_k, then ad makes each (e_i, f_i, h_i) an sl_2-triple
     on this finite-dimensional module.  For u = [e_i, e_j] (|i−j| > 1) or
     [e_i, [e_i, e_j]] (|i−j| = 1), [f_i, u] = 0 and u has ad h_i-weight 2 or
@@ -514,15 +542,12 @@ def verify_sln_relations(
             return element(p[0], q[1])
         return diags[p[0]] - diags[p[1]]
 
-    serre = [((k, k + 1), (l + 1, l)) for k in range(1, n) for l in range(1, n)]
-    z, one = RadicalScalar.zero(), RadicalScalar.one()
-    columns = list(enumerate(zip(*(diags[i].cols for i in idx))))
-    weights = [tuple(col.get(c, z) for col in cols) for c, cols in columns]
-    holds = (  # every H_i diagonal, then the weight and the bracket relations
-        all(col.keys() <= {c} for c, cols in columns for col in cols)
-        and all(off_weight(element(k, k + 1), weights, k, one) is None
-                and off_weight(element(k + 1, k), weights, k, -one) is None
-                for k in range(1, n))
+    serre = [((k, k + 1), (l + 1, l)) for k in range(1, n) for l in range(k, n)]
+    weights = _rational_weights([diags[i] for i in idx])
+    holds = (  # every H_i diagonal and rational, F_k = E_kᵀ, the weights, [e_k, f_l]
+        weights is not None
+        and all(element(k + 1, k) == element(k, k + 1).transpose() for k in range(1, n))
+        and all(off_weight(element(k, k + 1), weights, k, 1) is None for k in range(1, n))
         and all(commutator(element(*p), element(*q)) == want(p, q) for p, q in serre)
     )
     pairs = [(i, j) for i in idx for j in idx if i != j]
@@ -542,6 +567,7 @@ def verify_sln_relations(
     traces = [("trace E(%d,%d) = 0" % p, lambda p=p: element(*p)) for p in pairs]
     traces += [("trace cartan(%d) = 0" % i, lambda i=i: diags[i] - diags[i + 1])
                for i in range(1, n)]
+    z = RadicalScalar.zero()
     for name, mat in traces:
         tr = z if holds else mat().trace()
         report.record(name, tr.is_zero(), "" if tr.is_zero() else str(tr))

@@ -20,7 +20,7 @@ from .operators import (
     off_weight,
 )
 from .patterns import GTPattern, Partition, highest_pattern
-from .scalars import RadicalScalar
+from .scalars import RadicalScalar, json_int
 
 
 class CertificationError(RuntimeError):
@@ -90,8 +90,8 @@ class GeneratorWord:
     @classmethod
     def from_json(cls, data: list[dict]) -> "GeneratorWord":
         try:
-            return cls([(GeneratorSpec.from_letter(item["gen"], int(item["row"])),
-                         int(item["exp"])) for item in data])
+            return cls([(GeneratorSpec.from_letter(item["gen"], json_int(item["row"])),
+                         json_int(item["exp"])) for item in data])
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed word document: %r" % (exc,)) from None
 

@@ -14,6 +14,7 @@ dict comparison.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, sqrt
 
@@ -49,6 +50,19 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError("expected an int or Fraction, got %r" % (x,))
+
+
+def json_int(x) -> int:
+    """An integer field of a JSON document: an int, or an integer string.
+
+    These are the forms ``to_json`` writes; anything else (a float, a bool,
+    " 1", "1_000") is a ValueError rather than a truncated or lenient read.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    raise ValueError("not an integer: %r" % (x,))
 
 
 class RadicalScalar:
@@ -262,16 +276,24 @@ class RadicalScalar:
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "RadicalScalar":
-        """Read ``to_json`` output; a repeated radicand is a ValueError."""
+        """Read ``to_json`` output.
+
+        A repeated or non-squarefree radicand is a ValueError, as is a field
+        that is not an int or an integer string (``json_int``).
+        """
         try:
-            items = [(int(item["radicand"]), Fraction(int(item["num"]), int(item["den"])))
+            items = [(json_int(item["radicand"]),
+                      Fraction(json_int(item["num"]), json_int(item["den"])))
                      for item in data]
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError("malformed scalar document: %r" % (exc,)) from None
         terms = dict(items)
         if len(terms) != len(items):
             raise ValueError("repeated radicand in %r" % (data,))
-        return cls(terms)
+        for d in terms:
+            if squarefree_decompose(d) != (1, d):
+                raise ValueError("radicand %d is not squarefree" % (d,))
+        return _make({d: c for d, c in terms.items() if c})
 
 
 # The slot's own setter: RadicalScalar.__setattr__ refuses every assignment.

@@ -10,7 +10,7 @@ d_i = kappa_i - kappa_{i+1}.
 from __future__ import annotations
 
 from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
-from .scalars import join_terms, multiple_text
+from .scalars import join_terms, json_int, multiple_text
 
 
 class WeightVector:
@@ -51,7 +51,10 @@ class WeightVector:
     @classmethod
     def from_json(cls, data: dict) -> "WeightVector":
         try:
-            w = cls(data["kappa"])
+            kappa = data["kappa"]
+            if not isinstance(kappa, list):  # a string would read digit by digit
+                raise ValueError("kappa is not a list in %r" % (data,))
+            w = cls(json_int(k) for k in kappa)
             fundamental = list(data.get("fundamental", fundamental_coords(w)))
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed weight document: %r" % (exc,)) from None

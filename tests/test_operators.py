@@ -614,17 +614,19 @@ def _plus(mat, extra):
     """mat + the matrix with the nonzero entries {(row, column): value}."""
     cols = [{} for _ in mat.cols]
     for (r, c), v in extra.items():
-        cols[c][r] = RadicalScalar.from_rational(-v)
+        cols[c][r] = -(v if isinstance(v, RadicalScalar) else RadicalScalar.from_rational(v))
     return mat - OperatorMatrix.from_columns(cols)
 
 
 # Added to every H_i: none changes any H_i − H_j or trace, so every named
 # check still holds.  tilt_h changes the weight steps read off the H_i and
 # skew_h makes every H_i non-diagonal, so Serre's relations are not met.
+# root_shift_h keeps them, but its weights are irrational.
 ADDED_TO_H = {
     "shift_h": lambda d: {(c, c): 7 for c in range(d)},
     "tilt_h": lambda d: {(c, c): c + 1 for c in range(d)},
     "skew_h": lambda d: {(1, 0): 1},
+    "root_shift_h": lambda d: {(c, c): sqrt_rational(2) for c in range(d)},
 }
 
 
@@ -635,7 +637,9 @@ def _corrupting(monkeypatch, corruption):
     also swaps F_1 and F_2, and scale_both also doubles the transposed entry
     of F_2, so E_k and F_k stay transposes.  scale_e doubles all of E_1,
     which keeps every relation among the E_k and breaks [E_1,F_1] = H_1 − H_2.
-    The others add a matrix to every H_i (ADDED_TO_H).
+    conjugate_d conjugates every E_k and F_k by D = diag(1, ..., d): every
+    relation holds, but F_k is no longer E_kᵀ.  The others add a matrix to
+    every H_i (ADDED_TO_H).
     """
     original = operators.operator_matrix
     swapped = {"swap": ("raise",), "swap_both": ("raise", "lower")}.get(corruption, ())
@@ -652,6 +656,10 @@ def _corrupting(monkeypatch, corruption):
         if corruption == "scale_e" and (spec.kind, spec.index) == ("raise", 1):
             mat = OperatorMatrix.from_columns(
                 [{r: v * two for r, v in col.items()} for col in mat.cols])
+        if corruption == "conjugate_d" and spec.kind in ("raise", "lower"):
+            mat = OperatorMatrix.from_columns(
+                [{r: v.scale(Fraction(r + 1, c + 1)) for r, v in col.items()}
+                 for c, col in enumerate(mat.cols)])
         if spec.kind == "diag" and corruption in ADDED_TO_H:
             mat = _plus(mat, ADDED_TO_H[corruption](mat.dim))
         return mat
@@ -659,11 +667,12 @@ def _corrupting(monkeypatch, corruption):
     monkeypatch.setattr(operators, "operator_matrix", corrupted)
 
 
-PASSING = (None, *ADDED_TO_H)
+PASSING = (None, "conjugate_d", *ADDED_TO_H)
 
 
 @pytest.mark.parametrize(
-    "corruption", [None, "scale", "swap", "swap_both", "scale_both", "scale_e", *ADDED_TO_H]
+    "corruption",
+    [None, "scale", "swap", "swap_both", "scale_both", "scale_e", "conjugate_d", *ADDED_TO_H],
 )
 def test_relation_report_matches_exhaustive_oracle(monkeypatch, corruption):
     _corrupting(monkeypatch, corruption)
@@ -740,7 +749,7 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
 
     monkeypatch.setattr(operators, "commutator", counting)
     monkeypatch.setattr(OperatorMatrix, "trace", counting_trace)
-    for corruption in (None, "tilt_h", "skew_h"):
+    for corruption in (None, "tilt_h", "skew_h", "conjugate_d", "root_shift_h"):
         with monkeypatch.context() as patch:
             _corrupting(patch, corruption)
             for parts in ([1, 0], [2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0],
@@ -751,14 +760,15 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
                 report = verify_sln_relations(Partition(parts))
                 assert report.passed
                 if corruption is None:
-                    # only the brackets [e_k, f_l]; no non-adjacent E(i,j),
-                    # and no trace: every trace check follows from them
-                    assert len(calls) == (n - 1) ** 2, parts
+                    # only the brackets [e_k, f_l] with k <= l; no non-adjacent
+                    # E(i,j), and no trace: every trace check follows from them
+                    assert len(calls) == n * (n - 1) // 2, parts
                     assert not traces, parts
                 else:
-                    # Serre's relations fail on the H_i: all n(n-1) - 2(n-1)
-                    # non-adjacent E(i,j) are built, and every bracket and
-                    # trace check is decided on its own
+                    # the gate fails (Serre's relations on the H_i, F_k = E_kᵀ
+                    # or rational weights): all n(n-1) - 2(n-1) non-adjacent
+                    # E(i,j) are built, and every bracket and trace check is
+                    # decided on its own
                     table = (n - 1) * (n - 2)
                     brackets = len(report.checks) - n * (n - 1) - (n - 1)
                     assert len(calls) == table + brackets, parts

@@ -295,7 +295,9 @@ def test_word_validation():
             GeneratorWord.from_text(text)
     for item in ({"gen": "E", "row": 0, "exp": 1}, {"gen": "F", "row": -1, "exp": 1},
                  {"gen": "H", "row": 1, "exp": 1}, {"gen": "X", "row": 1, "exp": 1},
-                 {"gen": "F", "exp": 1}, "E12"):
+                 {"gen": "F", "exp": 1}, "E12", {"gen": "E", "row": 1.5, "exp": 1},
+                 {"gen": "E", "row": 1, "exp": 2.0}, {"gen": "E", "row": 1, "exp": True},
+                 {"gen": "E", "row": "1.0", "exp": 1}):
         with pytest.raises(ValueError):
             GeneratorWord.from_json([item])
     # the letters round-trip through the same table, and mirror swaps E and F

@@ -13,6 +13,7 @@ from gtbasis.scalars import (
     RadicalScalar,
     add,
     invert,
+    json_int,
     mul,
     sqrt_rational,
     squarefree_decompose,
@@ -139,9 +140,24 @@ def test_json_round_trip():
     assert RadicalScalar.from_json([]) == ZERO
     one = {"radicand": 2, "num": "1", "den": "1"}
     for bad in ([one, {**one, "num": "3"}], [{"radicand": 2}], [{**one, "den": "0"}],
-                [1], 5, [{**one, "num": "x"}]):
+                [1], 5, [{**one, "num": "x"}],
+                # 8 = 2²·2 is not squarefree: to_json never writes it
+                [one, {**one, "radicand": 8}], [{**one, "radicand": 8}],
+                [{**one, "radicand": 0}],
+                # fields that int() would truncate or read leniently
+                [{**one, "radicand": 2.9, "num": 1.5}], [{**one, "num": 1.5}],
+                [{**one, "den": 2.0}], [{**one, "num": True}], [{**one, "num": " 1"}]):
         with pytest.raises(ValueError):
             RadicalScalar.from_json(bad)
+    assert RadicalScalar.from_json([{"radicand": 2, "num": -3, "den": 4}]) == RadicalScalar(
+        {2: Fraction(-3, 4)})
+
+
+def test_json_int_reads_ints_and_integer_strings_only():
+    assert [json_int(x) for x in (0, -3, "12", "-7", "1" * 30)] == [0, -3, 12, -7, int("1" * 30)]
+    for bad in (1.0, 2.9, True, None, [1], "", " 1", "1_000", "+1", "1.5", "0x10", "١"):
+        with pytest.raises(ValueError):
+            json_int(bad)
 
 
 def random_scalar(rng, max_terms=3, allow_zero=True):

@@ -118,8 +118,10 @@ def test_weight_json_round_trip():
         "epsilon_string": "ε_2 + 2ε_3",
     }
     assert WeightVector.from_json(json.loads(json.dumps(doc))) == w
+    assert WeightVector.from_json({"kappa": ["0", "1", "2"]}) == w
     for bad in ({"kappa": [0, 1, 2], "fundamental": [9, 9]}, {}, [], {"kappa": 5},
-                {"kappa": [0, 1, 2], "fundamental": 3}):
+                {"kappa": [0, 1, 2], "fundamental": 3}, {"kappa": [0.5, 1.9]},
+                {"kappa": [0, 1.0, 2]}, {"kappa": [0, True, 2]}, {"kappa": "012"}):
         with pytest.raises(ValueError):
             WeightVector.from_json(bad)
 
