@@ -353,6 +353,32 @@ class GTModule:
     def weights(self) -> list[tuple[int, ...]]:
         return [weight_of(pat).kappa for pat in self.basis]
 
+    @cached_property
+    def ladder_fault(self) -> str | None:
+        """The first break in the weight ladder of the E_k and F_k, or None.
+
+        Checked in order, in O(nnz): β's weight is unique to it; then for
+        k = 1, ..., n−1, every entry of E_k moves ``weights`` by
+        +α_k = ε_k − ε_{k+1}, and F_k = E_kᵀ.  The relation gate and the
+        simplicity certificate both read this.
+        """
+        weights = self.weights
+        if weights.count(weights[self.beta]) != 1:
+            return "the weight of the highest pattern is not unique to it"
+        for k in range(1, self.partition.n):
+            e = self.generator("raise", k)
+            for c, col in enumerate(e.cols):
+                if col:
+                    w = weights[c]
+                    up = (*w[: k - 1], w[k - 1] + 1, w[k] - 1, *w[k + 1 :])
+                    for r in col:
+                        if weights[r] != up:
+                            return "E_%d moves %s to %s, not one up in row %d only" % (
+                                k, self.basis[c].to_string(), self.basis[r].to_string(), k)
+            if self.generator("lower", k) != e.transpose():
+                return "F_%d is not the transpose of E_%d" % (k, k)
+        return None
+
     @classmethod
     def of(cls, partition: Partition, module: GTModule | None = None,
            basis: list[GTPattern] | None = None) -> GTModule:
@@ -413,44 +439,6 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     )
 
 
-def _rational_weights(diags: list[OperatorMatrix]) -> list[tuple] | None:
-    """Each basis vector's (κ_1, ..., κ_n), read off the H_i as exact rationals.
-
-    A κ_i is an int when it is integral, else a Fraction.  None unless every
-    H_i is diagonal with rational entries.
-    """
-    weights = []
-    for c, cols in enumerate(zip(*(h.cols for h in diags))):
-        kappa = []
-        for col in cols:
-            if not col:
-                kappa.append(0)
-                continue
-            v = col.get(c)
-            if v is None or len(col) > 1 or len(v.terms) > 1 or 1 not in v.terms:
-                return None  # an off-diagonal or an irrational entry
-            r = v.terms[1]
-            kappa.append(r.numerator if r.denominator == 1 else r)
-        weights.append(tuple(kappa))
-    return weights
-
-
-def off_weight(mat: OperatorMatrix, weights, k: int, step: int) -> tuple[int, int] | None:
-    """First (row, column) entry of mat not moving the weight by step·α_k, or None.
-
-    weights[c] = (κ_1, ..., κ_n) of basis vector c, exact rationals (int or
-    Fraction), α_k = ε_k − ε_{k+1}, and step is the int +1 or −1.
-    """
-    for c, col in enumerate(mat.cols):
-        if col:
-            w = weights[c]
-            want = (*w[: k - 1], w[k - 1] + step, w[k] - step, *w[k + 1 :])
-            for r in col:
-                if weights[r] != want:
-                    return r, c
-    return None
-
-
 Pair = tuple[int, int]
 
 
@@ -505,12 +493,13 @@ def verify_sln_relations(
     vanishing brackets for disjoint index pairs, zero traces of all E_{i,j},
     and zero traces of the cartan differences; every named check is
     reported.  Let e_k = E(k,k+1), f_k = E(k+1,k), h_k = H_k − H_{k+1}.  The
-    gate checks that every H_i is diagonal with rational entries (the
-    weights, compared as ints or Fractions), that f_k = e_kᵀ, that every
-    entry of e_k moves the weight by +α_k, and that [e_k, f_l] = δ_kl h_k
-    for k ≤ l.  Then every entry of f_k = e_kᵀ moves the weight by −α_k, and
-    [e_l, f_k] = e_l e_kᵀ − e_kᵀ e_l = (e_k f_l − f_l e_k)ᵀ = [e_k, f_l]ᵀ
-    = δ_kl h_k, since h_k is diagonal: so [e_k, f_l] = δ_kl h_k for all k, l.
+    gate checks that every H_i is exactly diag(κ_i), with the weights κ of
+    ``module.weights`` compared as ints; that ``module.ladder_fault`` is
+    None, so f_k = e_kᵀ and every entry of e_k moves the weight by +α_k; and
+    that [e_k, f_l] = δ_kl h_k for k ≤ l.  Then every entry of f_k = e_kᵀ
+    moves the weight by −α_k, and [e_l, f_k] = e_l e_kᵀ − e_kᵀ e_l
+    = (e_k f_l − f_l e_k)ᵀ = [e_k, f_l]ᵀ = δ_kl h_k, since h_k is diagonal:
+    so [e_k, f_l] = δ_kl h_k for all k, l.
     If every H_i is diagonal, e_k (f_k) moves the weight by +α_k (−α_k) and
     [e_k, f_l] = δ_kl h_k, then ad makes each (e_i, f_i, h_i) an sl_2-triple
     on this finite-dimensional module.  For u = [e_i, e_j] (|i−j| > 1) or
@@ -543,11 +532,11 @@ def verify_sln_relations(
         return diags[p[0]] - diags[p[1]]
 
     serre = [((k, k + 1), (l + 1, l)) for k in range(1, n) for l in range(k, n)]
-    weights = _rational_weights([diags[i] for i in idx])
-    holds = (  # every H_i diagonal and rational, F_k = E_kᵀ, the weights, [e_k, f_l]
-        weights is not None
-        and all(element(k + 1, k) == element(k, k + 1).transpose() for k in range(1, n))
-        and all(off_weight(element(k, k + 1), weights, k, 1) is None for k in range(1, n))
+    holds = (  # every H_i = diag(κ_i), the weight ladder, [e_k, f_l]
+        all(len(col) == 1 and c in col and col[c].terms == {1: w[i - 1]}
+            if w[i - 1] else not col
+            for i in idx for c, (col, w) in enumerate(zip(diags[i].cols, module.weights)))
+        and module.ladder_fault is None
         and all(commutator(element(*p), element(*q)) == want(p, q) for p, q in serre)
     )
     pairs = [(i, j) for i in idx for j in idx if i != j]

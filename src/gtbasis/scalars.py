@@ -279,21 +279,24 @@ class RadicalScalar:
         """Read ``to_json`` output.
 
         A repeated or non-squarefree radicand is a ValueError, as is a field
-        that is not an int or an integer string (``json_int``).
+        that is not an int or an integer string (``json_int``) and a
+        coefficient that is zero or not num/den in lowest terms with den > 0.
         """
         try:
-            items = [(json_int(item["radicand"]),
-                      Fraction(json_int(item["num"]), json_int(item["den"])))
+            items = [(json_int(item["radicand"]), json_int(item["num"]), json_int(item["den"]))
                      for item in data]
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError("malformed scalar document: %r" % (exc,)) from None
-        terms = dict(items)
-        if len(terms) != len(items):
-            raise ValueError("repeated radicand in %r" % (data,))
-        for d in terms:
+        terms = {}
+        for d, num, den in items:
             if squarefree_decompose(d) != (1, d):
                 raise ValueError("radicand %d is not squarefree" % (d,))
-        return _make({d: c for d, c in terms.items() if c})
+            if num == 0 or den < 1 or gcd(num, den) != 1:
+                raise ValueError("coefficient %d/%d is not as to_json writes it" % (num, den))
+            terms[d] = Fraction(num, den)
+        if len(terms) != len(items):
+            raise ValueError("repeated radicand in %r" % (data,))
+        return _make(terms)
 
 
 # The slot's own setter: RadicalScalar.__setattr__ refuses every assignment.
@@ -351,22 +354,3 @@ def sqrt_rational(r) -> RadicalScalar:
     p, q = r.numerator, r.denominator
     s, d = squarefree_decompose(p * q)
     return _make({d: Fraction(s, q)})
-
-
-# Functional aliases mirroring the method API; handy for map/reduce style code.
-
-def add(a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
-    return a + b
-
-
-def mul(a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
-    return a * b
-
-
-def invert(a: RadicalScalar) -> RadicalScalar:
-    return a.invert()
-
-
-def to_float(a: RadicalScalar) -> float:
-    return a.to_float()
-

@@ -23,6 +23,7 @@ from gtbasis import patterns
 from gtbasis.cli import emit, main
 from gtbasis.operators import (
     GeneratorSpec,
+    OperatorMatrix,
     matrix_from_json,
     operator_matrix,
 )
@@ -422,6 +423,22 @@ def test_each_verdict_enumerates_the_basis_once(monkeypatch, args):
     calls = _count_enumerations(monkeypatch)
     run(args)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("parts", ["2,1,0", "3,2,1,0", "2,1,1,1,0", "3,2,1,0,0,0"])
+def test_verify_checks_each_weight_ladder_once(monkeypatch, parts):
+    # the relation gate and the certificate share GTModule.ladder_fault:
+    # one E_k transpose per k, not one for each
+    calls = []
+    original = OperatorMatrix.transpose
+
+    def counting(mat):
+        calls.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(OperatorMatrix, "transpose", counting)
+    run(["verify", parts])
+    assert len(calls) == parts.count(",")
 
 
 # -- size guard ----------------------------------------------------------------

@@ -619,9 +619,10 @@ def _plus(mat, extra):
 
 
 # Added to every H_i: none changes any H_i − H_j or trace, so every named
-# check still holds.  tilt_h changes the weight steps read off the H_i and
-# skew_h makes every H_i non-diagonal, so Serre's relations are not met.
-# root_shift_h keeps them, but its weights are irrational.
+# check still holds.  Each makes some H_i differ from diag(κ_i), the weights
+# of GTModule.weights, so the relation gate fails: shift_h and root_shift_h
+# move every weight by a constant (rational or irrational), tilt_h changes
+# the weight steps, and skew_h makes every H_i non-diagonal.
 ADDED_TO_H = {
     "shift_h": lambda d: {(c, c): 7 for c in range(d)},
     "tilt_h": lambda d: {(c, c): c + 1 for c in range(d)},
@@ -749,7 +750,7 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
 
     monkeypatch.setattr(operators, "commutator", counting)
     monkeypatch.setattr(OperatorMatrix, "trace", counting_trace)
-    for corruption in (None, "tilt_h", "skew_h", "conjugate_d", "root_shift_h"):
+    for corruption in (None, "shift_h", "tilt_h", "skew_h", "conjugate_d", "root_shift_h"):
         with monkeypatch.context() as patch:
             _corrupting(patch, corruption)
             for parts in ([1, 0], [2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0],
@@ -765,8 +766,8 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
                     assert len(calls) == n * (n - 1) // 2, parts
                     assert not traces, parts
                 else:
-                    # the gate fails (Serre's relations on the H_i, F_k = E_kᵀ
-                    # or rational weights): all n(n-1) - 2(n-1) non-adjacent
+                    # the gate fails (some H_i is not diag(κ_i), F_k ≠ E_kᵀ
+                    # or Serre's relations): all n(n-1) - 2(n-1) non-adjacent
                     # E(i,j) are built, and every bracket and trace check is
                     # decided on its own
                     table = (n - 1) * (n - 2)

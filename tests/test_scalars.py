@@ -9,16 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtbasis.scalars import (
-    RadicalScalar,
-    add,
-    invert,
-    json_int,
-    mul,
-    sqrt_rational,
-    squarefree_decompose,
-    to_float,
-)
+from gtbasis.scalars import RadicalScalar, json_int, sqrt_rational, squarefree_decompose
 
 SQRT2 = sqrt_rational(2)
 ONE = RadicalScalar.one()
@@ -56,7 +47,7 @@ def test_add_examples():
     half = Fraction(1, 2)
     combined = RadicalScalar({2: half}) + RadicalScalar({6: half})
     assert combined == RadicalScalar({2: half, 6: half})
-    assert add(SQRT2, ONE) == RadicalScalar({1: 1, 2: 1})
+    assert SQRT2 + ONE == RadicalScalar({1: 1, 2: 1})
 
 
 def test_mul_examples():
@@ -64,7 +55,7 @@ def test_mul_examples():
     assert SQRT2 * sqrt_rational(3) == sqrt_rational(6)
     half_sqrt6 = RadicalScalar({6: Fraction(1, 2)})
     assert half_sqrt6 * half_sqrt6 == RadicalScalar.from_rational(Fraction(3, 2))
-    assert mul(sqrt_rational(6), sqrt_rational(10)) == RadicalScalar({15: 2})
+    assert sqrt_rational(6) * sqrt_rational(10) == RadicalScalar({15: 2})
 
 
 def test_invert_examples():
@@ -73,7 +64,7 @@ def test_invert_examples():
         RadicalScalar.from_rational(Fraction(2, 3))
     )
     one_plus_sqrt2 = ONE + SQRT2
-    assert invert(one_plus_sqrt2) == RadicalScalar({1: -1, 2: 1})
+    assert one_plus_sqrt2.invert() == RadicalScalar({1: -1, 2: 1})
     assert one_plus_sqrt2 * one_plus_sqrt2.invert() == ONE
     with pytest.raises(ZeroDivisionError):
         ZERO.invert()
@@ -93,11 +84,11 @@ def test_truediv():
 
 
 def test_to_float_examples():
-    assert abs(to_float(SQRT2) - math.sqrt(2)) < 1e-12
-    assert to_float(ZERO) == 0.0
+    assert abs(SQRT2.to_float() - math.sqrt(2)) < 1e-12
+    assert ZERO.to_float() == 0.0
     combined = RadicalScalar({2: Fraction(1, 2), 6: Fraction(1, 2)})
-    assert abs(to_float(combined) - 1.9318516525781366) < 1e-9
-    assert float(combined) == to_float(combined)
+    assert abs(combined.to_float() - 1.9318516525781366) < 1e-9
+    assert float(combined) == combined.to_float()
 
 
 def test_canonicalization_collapses_radicands():
@@ -146,7 +137,9 @@ def test_json_round_trip():
                 [{**one, "radicand": 0}],
                 # fields that int() would truncate or read leniently
                 [{**one, "radicand": 2.9, "num": 1.5}], [{**one, "num": 1.5}],
-                [{**one, "den": 2.0}], [{**one, "num": True}], [{**one, "num": " 1"}]):
+                [{**one, "den": 2.0}], [{**one, "num": True}], [{**one, "num": " 1"}],
+                # a zero, a negative denominator, a fraction not in lowest terms
+                [{**one, "num": "0"}], [{**one, "den": "-2"}], [{**one, "num": "2", "den": "4"}]):
         with pytest.raises(ValueError):
             RadicalScalar.from_json(bad)
     assert RadicalScalar.from_json([{"radicand": 2, "num": -3, "den": 4}]) == RadicalScalar(
@@ -208,8 +201,8 @@ def test_to_float_is_homomorphism():
     for _ in range(1000):
         a = random_scalar(rng)
         b = random_scalar(rng)
-        assert abs(to_float(a + b) - (to_float(a) + to_float(b))) < 1e-9
-        assert abs(to_float(a * b) - to_float(a) * to_float(b)) < 1e-9
+        assert abs((a + b).to_float() - (a.to_float() + b.to_float())) < 1e-9
+        assert abs((a * b).to_float() - a.to_float() * b.to_float()) < 1e-9
 
 
 scalar_strategy = st.builds(
@@ -288,5 +281,5 @@ def test_kernels_match_reference(a, b):
 def test_sqrt_round_trip_hypothesis(r):
     root = sqrt_rational(r)
     assert root * root == RadicalScalar.from_rational(r)
-    assert abs(to_float(root) - math.sqrt(float(r))) < 1e-9
+    assert abs(root.to_float() - math.sqrt(float(r))) < 1e-9
     assert_canonical(root)
