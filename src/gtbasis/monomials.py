@@ -86,27 +86,25 @@ def monomial_family(
     return MonomialFamily(partition, name, basis, words, duplicate_of)
 
 
-def basis_matrix(
-    family: MonomialFamily, module: GTModule | None = None
-) -> OperatorMatrix:
-    """Column i = word_i applied to β, over the family's pattern basis.
+def walk_family(family: MonomialFamily, start, step) -> list:
+    """Fold every word of ``family`` over ``start``, sharing prefixes.
 
-    Each word is expanded into unit steps in application order, so F^a
-    extends F^(a-1).  Visiting the words in sorted step order, every word
-    starts from the longest prefix it shares with the previous one; the
-    stack holds the image of β after each step of the current word.  The
-    generator matrices come from ``module`` (one over ``family.patterns``
-    when none is given), so each is built once.
+    Each word is expanded into unit steps ``(kind, row)`` in application
+    order, so F^a extends F^(a-1).  Visiting the words in sorted step order,
+    every word starts from the longest prefix it shares with the previous
+    one; the stack holds the value after each step of the current word, and
+    ``step(unit, value)`` gives the next one.  Returns one value per word,
+    in family order.
     """
-    module = GTModule.of(family.partition, module, family.patterns)
-    steps = [
-        tuple((spec.kind, spec.index) for spec, exp in reversed(word.factors)
-              for _ in range(exp))
-        for word in family.words
-    ]
-    cols: list = [None] * len(steps)
+    steps = []
+    for word in family.words:
+        units: list[tuple[str, int]] = []
+        for spec, exp in reversed(word.factors):
+            units += [(spec.kind, spec.index)] * exp
+        steps.append(tuple(units))
+    out: list = [None] * len(steps)
     path: tuple[tuple[str, int], ...] = ()
-    stack = [{module.beta: RadicalScalar.one()}]
+    stack = [start]
     for i in sorted(range(len(steps)), key=steps.__getitem__):
         word = steps[i]
         shared = 0
@@ -115,11 +113,41 @@ def basis_matrix(
                 break
             shared += 1
         del stack[shared + 1:]
-        for step in word[shared:]:
-            stack.append(module.generator(*step).apply(stack[-1]))
+        for unit in word[shared:]:
+            stack.append(step(unit, stack[-1]))
         path = word
-        cols[i] = stack[-1]
-    return OperatorMatrix.from_columns(cols)
+        out[i] = stack[-1]
+    return out
+
+
+def basis_matrix(
+    family: MonomialFamily, module: GTModule | None = None
+) -> OperatorMatrix:
+    """Column i = word_i applied to β, over the family's pattern basis.
+
+    The words are applied by ``walk_family``.  The generator matrices come
+    from ``module`` (one over ``family.patterns`` when none is given), so
+    each is built once.
+    """
+    module = GTModule.of(family.partition, module, family.patterns)
+    return OperatorMatrix.from_columns(walk_family(
+        family, {module.beta: RadicalScalar.one()},
+        lambda unit, v: module.generator(*unit).apply(v)))
+
+
+def reached_sets(family: MonomialFamily, module: GTModule) -> list[frozenset[int]]:
+    """Per word, the basis indices that some path of its steps reaches from β.
+
+    A step sends a set to the union of the row supports of those columns
+    of the step's generator matrix; no scalar is computed.  When
+    ``module.lowering_positive`` holds, each set is exactly the support of
+    the word's ``basis_matrix`` column.
+    """
+    def reach(unit, reached):
+        cols = module.generator(*unit).cols
+        return frozenset().union(*[cols[c] for c in reached])
+
+    return walk_family(family, frozenset([module.beta]), reach)
 
 
 def _float_rank(mat: OperatorMatrix) -> int:

@@ -379,6 +379,18 @@ class GTModule:
                 return "F_%d is not the transpose of E_%d" % (k, k)
         return None
 
+    @cached_property
+    def lowering_positive(self) -> bool:
+        """Whether every entry of every F_k is one term c·√d with c > 0.
+
+        Checked in O(nnz).  Such an entry is a positive real, so a sum of
+        products of them never vanishes; the simplicity certificate reads
+        this before it decides a column's support by reachability alone.
+        """
+        return all(len(v.terms) == 1 and min(v.terms.values()) > 0
+                   for k in range(1, self.partition.n)
+                   for col in self.generator("lower", k).cols for v in col.values())
+
     @classmethod
     def of(cls, partition: Partition, module: GTModule | None = None,
            basis: list[GTPattern] | None = None) -> GTModule:

@@ -141,8 +141,8 @@ def sweep_exponents(xi: GTPattern, row_order: list[int]) -> list[int]:
     rows = [list(row) for row in xi.rows]
     exps = []
     for r in row_order:
-        if not 1 <= r <= xi.n - 1:
-            raise ValueError("row %d out of range for n=%d" % (r, xi.n))
+        if not 1 <= r < len(rows):
+            raise ValueError("row %d out of range for n=%d" % (r, len(rows)))
         above = rows[r]
         below = rows[r - 2] if r >= 2 else None
         gained = 0
@@ -285,23 +285,39 @@ def _check_ladder(module: GTModule):
 def simplicity_certificate(
     partition: Partition, module: GTModule | None = None
 ) -> SimplicityReport:
-    """Certify simplicity from the canonical basis matrix alone.
+    """Certify simplicity from the support of the canonical basis matrix.
 
     Its diagonal gives λ_β for every pattern (see ``_check_ladder``), and its
-    rank decides whether the monomial family spans.
+    rank decides whether the monomial family spans.  When
+    ``module.lowering_positive`` holds, every F_k entry is a positive real
+    c·√d, so each entry of F_{k_m}⋯F_{k_1}β is a sum of positive path
+    products: sums of positive reals cannot vanish, so the support of a
+    column is exactly the set of patterns its word reaches
+    (``monomials.reached_sets``), found with sets and no arithmetic.  If
+    column c reaches c and no pattern of lower index, the matrix is
+    lower-triangular with a nonzero diagonal: every λ_β is nonzero and the
+    rank is the dimension.  A support cannot see a flipped sign, which can
+    make two paths cancel, so the positivity condition is required, not an
+    optimization.  In any other case the exact basis matrix and its rank
+    decide.
     """
     from . import monomials  # deferred: monomials imports this module
 
     module = GTModule.of(partition, module)
     _check_ladder(module)
     family = monomials.monomial_family(partition, "canonical", module.basis)
+    dim = len(module.basis)
+    if module.lowering_positive and all(
+        min(reached, default=None) == c
+        for c, reached in enumerate(monomials.reached_sets(family, module))
+    ):
+        return SimplicityReport(partition, dim, dim, [], dim)
     mat = monomials.basis_matrix(family, module)
     failures = [
         (pat, "raising %s annihilated it" % pat.to_string())
         for c, pat in enumerate(module.basis)
         if c not in mat.cols[c]
     ]
-    dim = len(module.basis)
     return SimplicityReport(
         partition, dim, dim - len(failures), failures, monomials.rank(mat)
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd, isqrt, sqrt
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -42,6 +42,26 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         p += 1 if p == 2 else 2
     d *= m  # leftover m is prime (or 1)
     return s, d
+
+
+def is_squarefree(n: int) -> bool:
+    """Whether n ≥ 1 has no square factor other than 1.
+
+    Trial division stops once p³ exceeds m, the cofactor left.  Every prime
+    factor of m is then at least p, so m has at most two, and m is
+    squarefree unless it is the square of a prime.  That takes about ∛n
+    steps where ``squarefree_decompose`` takes √n.
+    """
+    if n < 1:
+        return False
+    m, p = n, 2
+    while p * p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    return m == 1 or isqrt(m) ** 2 != m
 
 
 def _as_fraction(x) -> Fraction:
@@ -289,7 +309,7 @@ class RadicalScalar:
             raise ValueError("malformed scalar document: %r" % (exc,)) from None
         terms = {}
         for d, num, den in items:
-            if squarefree_decompose(d) != (1, d):
+            if not is_squarefree(d):
                 raise ValueError("radicand %d is not squarefree" % (d,))
             if num == 0 or den < 1 or gcd(num, den) != 1:
                 raise ValueError("coefficient %d/%d is not as to_json writes it" % (num, den))

@@ -355,6 +355,19 @@ def test_output_to_a_missing_directory_prints_no_traceback(tmp_path):
     assert proc.stdout == ""
 
 
+def test_verify_does_not_import_numpy():
+    code = ("import sys\n"
+            "from gtbasis.cli import main\n"
+            "try:\n"
+            "    main(['verify', '2,1,0'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("relations: PASS (38 checks)")
+
+
 def test_unknown_format_rejected():
     run(["patterns", "1,0", "--format", "xml"], expect_exit=2)
     # matrixmarket only makes sense for matrices.

@@ -19,6 +19,7 @@ from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
 from gtbasis.raising import (
     CertificationError,
     GeneratorWord,
+    SimplicityReport,
     UnsupportedScheduleError,
     alternate_row_order,
     apply_word,
@@ -341,21 +342,112 @@ def test_certificate_diagonal_equals_verify_raise():
         ), partition
 
 
+def _by_basis_matrix(partition):
+    """The report of the exact basis-matrix route, on the module as built."""
+    module = GTModule(partition)
+    family = monomials.monomial_family(partition, "canonical", module.basis)
+    mat = monomials.basis_matrix(family, module)
+    failures = [(xi, "raising %s annihilated it" % xi.to_string())
+                for c, xi in enumerate(module.basis) if c not in mat.cols[c]]
+    dim = len(module.basis)
+    return SimplicityReport(partition, dim, dim - len(failures), failures,
+                            monomials.rank(mat))
+
+
+def _counting_basis_matrix(monkeypatch):
+    """Record every call of monomials.basis_matrix; returns the list."""
+    calls, original = [], monomials.basis_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(monomials, "basis_matrix", counted)
+    return calls
+
+
+def _dropping_pattern_2(e, f):
+    """Remove every F_k entry into pattern 2 and its E_k transpose."""
+    return (
+        OperatorMatrix.from_columns([{} if c == 2 else col for c, col in enumerate(e.cols)]),
+        OperatorMatrix.from_columns([{r: v for r, v in col.items() if r != 2}
+                                     for col in f.cols]),
+    )
+
+
 def test_certificate_reports_a_zero_diagonal_entry(monkeypatch):
-    original = monomials.basis_matrix
-
-    def losing_one_diagonal(family, *rest):
-        mat = original(family, *rest)
-        cols = [dict(col) for col in mat.cols]
-        del cols[2][2]
-        return OperatorMatrix.from_columns(cols)
-
-    monkeypatch.setattr(monomials, "basis_matrix", losing_one_diagonal)
+    # no lowering word reaches pattern 2, and the word of 2,1,0;1,0;0 passes
+    # through it, so neither column has its diagonal entry and the exact
+    # basis matrix decides
+    _corrupting(monkeypatch, _dropping_pattern_2)
+    assert GTModule(P210).lowering_positive
+    expected = _by_basis_matrix(P210)
+    calls = _counting_basis_matrix(monkeypatch)
     report = simplicity_certificate(P210)
-    xi = enumerate_patterns(P210)[2]
+    assert len(calls) == 1
+    assert report == expected
+    failed = [pat(P210, "1,0;0"), pat(P210, "1,0;1")]
+    assert enumerate_patterns(P210)[2] == failed[1]
     assert not report.certified
-    assert report.raised == 7
-    assert report.raise_failures == [(xi, "raising %s annihilated it" % xi.to_string())]
+    assert (report.raised, report.rank) == (6, 6)
+    assert report.raise_failures == [
+        (xi, "raising %s annihilated it" % xi.to_string()) for xi in failed]
+
+
+def _negating_one_entry(e, f):
+    """Negate the first entry of E_k and its F_k transpose."""
+    cols = [dict(col) for col in e.cols]
+    c = next(c for c, col in enumerate(cols) if col)
+    r = min(cols[c])
+    cols[c][r] = -cols[c][r]
+    e = OperatorMatrix.from_columns(cols)
+    return e, _transpose(e)
+
+
+def test_certificate_falls_back_on_a_negated_entry(monkeypatch):
+    # supports cannot see the flipped sign; the positivity gate must
+    _corrupting(monkeypatch, _negating_one_entry)
+    expected = [_by_basis_matrix(partition) for partition in LADDER]
+    calls = _counting_basis_matrix(monkeypatch)
+    for partition, want in zip(LADDER, expected):
+        assert not GTModule(partition).lowering_positive
+        calls.clear()
+        assert simplicity_certificate(partition) == want
+        assert len(calls) == 1
+
+
+def test_intact_certificate_builds_no_basis_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the certificate built or ranked a basis matrix")
+
+    for name in ("basis_matrix", "rank"):
+        monkeypatch.setattr(monomials, name, forbidden)
+    for partition in LADDER:
+        module = GTModule(partition)
+        dim = len(module.basis)
+        assert simplicity_certificate(partition, module) == SimplicityReport(
+            partition, dim, dim, [], dim)
+        assert module.lowering_positive
+
+
+@pytest.mark.parametrize("parts", [[2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0], [9, 4, 2, 0]])
+def test_reached_sets_are_the_basis_matrix_supports(parts):
+    partition = Partition(parts)
+    module = GTModule(partition)
+    schedules = ["canonical", "alternate"] if partition.n == 3 else ["canonical"]
+    for schedule in schedules:
+        family = monomials.monomial_family(partition, schedule, module.basis)
+        mat = monomials.basis_matrix(family, module)
+        assert monomials.reached_sets(family, module) == [frozenset(col) for col in mat.cols]
+
+
+def test_lowering_positivity_refuses_a_two_term_entry():
+    module = GTModule(P210)
+    f = module.generator("lower", 1)
+    c = next(c for c, col in enumerate(f.cols) if col)
+    r = min(f.cols[c])
+    f.cols[c][r] = f.cols[c][r] + sqrt_rational(2)  # now two radical terms
+    assert not module.lowering_positive
 
 
 def test_verify_never_replays_raising_words(monkeypatch):

@@ -3,13 +3,20 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtbasis.scalars import RadicalScalar, json_int, sqrt_rational, squarefree_decompose
+from gtbasis.scalars import (
+    RadicalScalar,
+    is_squarefree,
+    json_int,
+    sqrt_rational,
+    squarefree_decompose,
+)
 
 SQRT2 = sqrt_rational(2)
 ONE = RadicalScalar.one()
@@ -144,6 +151,25 @@ def test_json_round_trip():
             RadicalScalar.from_json(bad)
     assert RadicalScalar.from_json([{"radicand": 2, "num": -3, "den": 4}]) == RadicalScalar(
         {2: Fraction(-3, 4)})
+
+
+def test_is_squarefree_agrees_with_squarefree_decompose():
+    assert [n for n in range(1, 5000)
+            if is_squarefree(n) != (squarefree_decompose(n) == (1, n))] == []
+    # two primes above the cube root, a prime square times 2, a prime cube
+    for n, want in ((1009 * 1013, True), (2 * 1009 ** 2, False), (101 ** 3, False),
+                    (1009 ** 2, False), (0, False), (-6, False)):
+        assert is_squarefree(n) == want, n
+
+
+def test_json_reads_a_large_prime_radicand_quickly():
+    prime = 99999999999973
+    start = time.perf_counter()
+    x = RadicalScalar.from_json([{"radicand": prime, "num": "1", "den": "1"}])
+    assert time.perf_counter() - start < 0.1  # √-step trial division took 0.7 s
+    assert x.terms == {prime: 1}
+    with pytest.raises(ValueError, match="not squarefree"):
+        RadicalScalar.from_json([{"radicand": 1000003 ** 2, "num": "1", "den": "1"}])
 
 
 def test_json_int_reads_ints_and_integer_strings_only():
