@@ -10,6 +10,7 @@ schedule produces, and the rank check measures exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .operators import (
     GTModule,
@@ -86,24 +87,41 @@ def monomial_family(
     return MonomialFamily(partition, name, basis, words, duplicate_of)
 
 
-def walk_family(family: MonomialFamily, start, step) -> list:
-    """Fold every word of ``family`` over ``start``, sharing prefixes.
+Steps = tuple[tuple[str, int], ...]  # unit steps (kind, row), application order
 
-    Each word is expanded into unit steps ``(kind, row)`` in application
-    order, so F^a extends F^(a-1).  Visiting the words in sorted step order,
-    every word starts from the longest prefix it shares with the previous
-    one; the stack holds the value after each step of the current word, and
-    ``step(unit, value)`` gives the next one.  Returns one value per word,
-    in family order.
+
+def word_steps(word: GeneratorWord) -> Steps:
+    """A word's unit steps in application order, so F^a extends F^(a-1)."""
+    units: list[tuple[str, int]] = []
+    for spec, exp in reversed(word.factors):
+        units += [(spec.kind, spec.index)] * exp
+    return tuple(units)
+
+
+def sweep_steps(patterns: list[GTPattern], order: list[int]) -> list[Steps]:
+    """Per pattern, the unit steps of its lowering monomial along ``order``.
+
+    Read straight from ``sweep_exponents``, with no word built: the monomial
+    applies F_r^a for the rows of ``order`` in reverse, so this equals
+    ``word_steps(monomial_word(pat, order))``.
     """
-    steps = []
-    for word in family.words:
-        units: list[tuple[str, int]] = []
-        for spec, exp in reversed(word.factors):
-            units += [(spec.kind, spec.index)] * exp
-        steps.append(tuple(units))
+    units = [("lower", r) for r in reversed(order)]
+    return [
+        tuple(chain.from_iterable(map(repeat, units, reversed(sweep_exponents(pat, order)))))
+        for pat in patterns
+    ]
+
+
+def walk(steps: list[Steps], start, step) -> list:
+    """Fold every step tuple over ``start``, sharing prefixes.
+
+    Visiting the tuples in sorted order, each starts from the longest prefix
+    it shares with the previous one; the stack holds the value after each
+    step of the current tuple, and ``step(unit, value)`` gives the next one.
+    Returns one value per tuple, in the given order.
+    """
     out: list = [None] * len(steps)
-    path: tuple[tuple[str, int], ...] = ()
+    path: Steps = ()
     stack = [start]
     for i in sorted(range(len(steps)), key=steps.__getitem__):
         word = steps[i]
@@ -125,29 +143,29 @@ def basis_matrix(
 ) -> OperatorMatrix:
     """Column i = word_i applied to β, over the family's pattern basis.
 
-    The words are applied by ``walk_family``.  The generator matrices come
+    The words' steps are applied by ``walk``.  The generator matrices come
     from ``module`` (one over ``family.patterns`` when none is given), so
     each is built once.
     """
     module = GTModule.of(family.partition, module, family.patterns)
-    return OperatorMatrix.from_columns(walk_family(
-        family, {module.beta: RadicalScalar.one()},
+    return OperatorMatrix.from_columns(walk(
+        [word_steps(word) for word in family.words], {module.beta: RadicalScalar.one()},
         lambda unit, v: module.generator(*unit).apply(v)))
 
 
-def reached_sets(family: MonomialFamily, module: GTModule) -> list[frozenset[int]]:
-    """Per word, the basis indices that some path of its steps reaches from β.
+def reached_sets(steps: list[Steps], module: GTModule) -> list[frozenset[int]]:
+    """Per step tuple, the basis indices that some path of it reaches from β.
 
     A step sends a set to the union of the row supports of those columns
     of the step's generator matrix; no scalar is computed.  When
     ``module.lowering_positive`` holds, each set is exactly the support of
-    the word's ``basis_matrix`` column.
+    the ``basis_matrix`` column of a word with those steps.
     """
     def reach(unit, reached):
         cols = module.generator(*unit).cols
         return frozenset().union(*[cols[c] for c in reached])
 
-    return walk_family(family, frozenset([module.beta]), reach)
+    return walk(steps, frozenset([module.beta]), reach)
 
 
 def _float_rank(mat: OperatorMatrix) -> int:

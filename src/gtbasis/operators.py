@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
 from .scalars import RadicalScalar, _make, sqrt_rational
@@ -89,21 +90,29 @@ class ModuleVector:
         return "ModuleVector(%s)" % " + ".join(bits)
 
 
-def _act(rows, k: int, step: int, roots: dict) -> list:
+def _act(rows, k: int, step: int, roots: dict, shifts: dict) -> list:
     """(target rows, coefficient) pairs of raising (step=1) or lowering (step=-1) row k.
 
     ``rows`` are a pattern's row tuples.  A target is skipped unless it passes
     the interleaving tests of ``GTPattern.replace``.  The lowering coefficient
     is the raising one with l_jk replaced by l_jk - 1, so one formula serves
-    both; its radicand num/den is kept as plain ints, and ``roots`` memoizes
-    each square root by (num, den).
+    both; its radicand num/den is kept as plain ints in lowest terms, and
+    ``roots`` memoizes each square root by that (num, den), so equal
+    coefficients share one object.  ``shifts`` memoizes each row's shifted
+    entries by the row tuple.
     """
     name, verb = ("raise", "raising") if step > 0 else ("lower", "lowering")
     if not 1 <= k < len(rows):
         raise ValueError("%s row index %d out of range for n=%d" % (name, k, len(rows)))
     row, upper = rows[k - 1], rows[k]
     lower = rows[k - 2] if k > 1 else ()
-    lk, lku, lkd = ([e - i for i, e in enumerate(r, start=1)] for r in (row, upper, lower))
+    shifted = []
+    for r in (row, upper, lower):
+        ls = shifts.get(r)
+        if ls is None:
+            ls = shifts[r] = [e - i for i, e in enumerate(r, start=1)]
+        shifted.append(ls)
+    lk, lku, lkd = shifted
     out = []
     for j in range(1, k + 1):
         value = row[j - 1] + step
@@ -132,9 +141,11 @@ def _act(rows, k: int, step: int, roots: dict) -> list:
                 "nonpositive radicand %s %s row %d of %s at position %d"
                 % (Fraction(num, den), verb, k, GTPattern._trusted(rows).to_string(), j)
             )
-        root = roots.get((num, den))
+        g = gcd(num, den)
+        key = (num // g, den // g)
+        root = roots.get(key)
         if root is None:
-            root = roots[(num, den)] = sqrt_rational(Fraction(num, den))
+            root = roots[key] = sqrt_rational(Fraction(*key))
         target = rows[:k - 1] + (row[:j - 1] + (value,) + row[j:],) + rows[k:]
         out.append((target, root))
     return out
@@ -142,12 +153,12 @@ def _act(rows, k: int, step: int, roots: dict) -> list:
 
 def act_raise(k: int, xi: GTPattern) -> ModuleVector:
     """Action of the raising generator on row k: sum over bumpable entries."""
-    return ModuleVector({GTPattern._trusted(t): c for t, c in _act(xi.rows, k, 1, {})})
+    return ModuleVector({GTPattern._trusted(t): c for t, c in _act(xi.rows, k, 1, {}, {})})
 
 
 def act_lower(k: int, xi: GTPattern) -> ModuleVector:
     """Action of the lowering generator on row k (adjoint of act_raise)."""
-    return ModuleVector({GTPattern._trusted(t): c for t, c in _act(xi.rows, k, -1, {})})
+    return ModuleVector({GTPattern._trusted(t): c for t, c in _act(xi.rows, k, -1, {}, {})})
 
 
 def act_diag(i: int, xi: GTPattern) -> tuple[int, GTPattern]:
@@ -346,7 +357,8 @@ class GTModule:
         self.basis = enumerate_patterns(partition) if basis is None else basis
         self.index = {pat.rows: i for i, pat in enumerate(self.basis)}
         self.beta = self.index[highest_pattern(partition).rows]
-        self.roots: dict[tuple[int, int], RadicalScalar] = {}
+        self.roots: dict[tuple[int, int], RadicalScalar] = {}  # reduced (num, den)
+        self.shifts: dict[tuple[int, ...], list[int]] = {}  # row -> shifted entries
         self._mats: dict[tuple, OperatorMatrix] = {}  # (kind, index) or (i, j)
 
     @cached_property
@@ -432,8 +444,8 @@ def operator_matrix(
     module = GTModule.of(partition, module)
     index, k = module.index, spec.index
     if spec.kind in ("raise", "lower"):
-        step, roots = (1 if spec.kind == "raise" else -1), module.roots
-        cols = [{index[t]: v for t, v in _act(pat.rows, k, step, roots)}
+        step, roots, shifts = (1 if spec.kind == "raise" else -1), module.roots, module.shifts
+        cols = [{index[t]: v for t, v in _act(pat.rows, k, step, roots, shifts)}
                 for pat in module.basis]
     else:  # H_k: κ_k; cartan k: κ_k − κ_{k+1}
         cartan = spec.kind == "cartan"
@@ -444,11 +456,46 @@ def operator_matrix(
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """A@B - B@A, exact, built column by column: A(B e_c) - B(A e_c)."""
+    """A@B - B@A, exact, each column A(B e_c) - B(A e_c) summed in one dict.
+
+    Every product is of an entry of A and an entry of B.  A memo keyed by
+    the two entries' ids, A's first in both halves since the product
+    commutes, computes each distinct pair once; the ids stay valid because
+    both matrices hold their entries for the whole call.  A subtracted
+    product that is the accumulated value itself, or has equal terms,
+    removes the entry without a subtraction; zeros are dropped.
+    """
     _check_dims(a, b)
-    return OperatorMatrix.from_columns(
-        [_subtract_into(a.apply(bc), b.apply(ac)) for ac, bc in zip(a.cols, b.cols)]
-    )
+    acols, bcols = a.cols, b.cols
+    memo: dict[tuple[int, int], RadicalScalar] = {}
+    cols = []
+    for ac, bc in zip(acols, bcols):
+        out: dict[int, RadicalScalar] = {}
+        for k, bv in bc.items():
+            ib = id(bv)
+            for r, av in acols[k].items():
+                key = (id(av), ib)
+                prod = memo.get(key)
+                if prod is None:
+                    prod = memo[key] = av * bv
+                acc = out.get(r)
+                out[r] = prod if acc is None else acc + prod
+        for k, av in ac.items():
+            ia = id(av)
+            for r, bv in bcols[k].items():
+                key = (ia, id(bv))
+                prod = memo.get(key)
+                if prod is None:
+                    prod = memo[key] = av * bv
+                acc = out.get(r)
+                if acc is None:
+                    out[r] = -prod
+                elif acc is prod or acc.terms == prod.terms:
+                    del out[r]
+                else:
+                    out[r] = acc - prod
+        cols.append({r: v for r, v in out.items() if v.terms})
+    return OperatorMatrix.from_columns(cols)
 
 
 Pair = tuple[int, int]

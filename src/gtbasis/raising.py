@@ -143,15 +143,14 @@ def sweep_exponents(xi: GTPattern, row_order: list[int]) -> list[int]:
     for r in row_order:
         if not 1 <= r < len(rows):
             raise ValueError("row %d out of range for n=%d" % (r, len(rows)))
-        above = rows[r]
-        below = rows[r - 2] if r >= 2 else None
-        gained = 0
-        for j in range(len(rows[r - 1])):
-            ceiling = above[j]
-            if below is not None and j >= 1:
-                ceiling = min(ceiling, below[j - 1])
-            gained += ceiling - rows[r - 1][j]
-            rows[r - 1][j] = ceiling
+        above, row = rows[r], rows[r - 1]
+        gained = above[0] - row[0]
+        row[0] = above[0]
+        if r >= 2:
+            for j, below in enumerate(rows[r - 2], start=1):
+                ceiling = above[j] if above[j] < below else below
+                gained += ceiling - row[j]
+                row[j] = ceiling
         exps.append(gained)
     return exps
 
@@ -174,10 +173,10 @@ def apply_generator(spec: GeneratorSpec, v: ModuleVector) -> ModuleVector:
     """One application of a raising/lowering generator to a vector."""
     if spec.kind not in ("raise", "lower"):
         raise ValueError("only raise/lower generators act in words")
-    step, roots = (1 if spec.kind == "raise" else -1), {}
+    step, roots, shifts = (1 if spec.kind == "raise" else -1), {}, {}
     out: dict[GTPattern, RadicalScalar] = {}
     for pat, coeff in v.terms.items():
-        for rows, c in _act(pat.rows, spec.index, step, roots):
+        for rows, c in _act(pat.rows, spec.index, step, roots, shifts):
             target = GTPattern._trusted(rows)
             prod = c * coeff
             out[target] = out[target] + prod if target in out else prod
@@ -293,7 +292,8 @@ def simplicity_certificate(
     c·√d, so each entry of F_{k_m}⋯F_{k_1}β is a sum of positive path
     products: sums of positive reals cannot vanish, so the support of a
     column is exactly the set of patterns its word reaches
-    (``monomials.reached_sets``), found with sets and no arithmetic.  If
+    (``monomials.reached_sets`` over the steps of ``monomials.sweep_steps``,
+    no word built), found with sets and no arithmetic.  If
     column c reaches c and no pattern of lower index, the matrix is
     lower-triangular with a nonzero diagonal: every λ_β is nonzero and the
     rank is the dimension.  A support cannot see a flipped sign, which can
@@ -305,13 +305,14 @@ def simplicity_certificate(
 
     module = GTModule.of(partition, module)
     _check_ladder(module)
-    family = monomials.monomial_family(partition, "canonical", module.basis)
     dim = len(module.basis)
+    steps = monomials.sweep_steps(module.basis, canonical_row_order(partition.n))
     if module.lowering_positive and all(
         min(reached, default=None) == c
-        for c, reached in enumerate(monomials.reached_sets(family, module))
+        for c, reached in enumerate(monomials.reached_sets(steps, module))
     ):
         return SimplicityReport(partition, dim, dim, [], dim)
+    family = monomials.monomial_family(partition, "canonical", module.basis)
     mat = monomials.basis_matrix(family, module)
     failures = [
         (pat, "raising %s annihilated it" % pat.to_string())

@@ -597,11 +597,17 @@ def _oracle_relation_checks(partition):
     return checks
 
 
-def _first_entry_of_e2(partition):
-    """(row, column) of the first nonzero entry of E_2, column-major."""
-    e2 = operator_matrix(GeneratorSpec("raise", 2), partition)
-    c = next(c for c, col in enumerate(e2.cols) if col)
-    return min(e2.cols[c]), c
+def _first_entry_of_e(partition, k=2):
+    """(row, column) of the first nonzero entry of E_k, column-major."""
+    e = operator_matrix(GeneratorSpec("raise", k), partition)
+    c = next(c for c, col in enumerate(e.cols) if col)
+    return min(e.cols[c]), c
+
+
+def _negated(mat, r, c):
+    cols = [dict(col) for col in mat.cols]
+    cols[c][r] = -cols[c][r]
+    return OperatorMatrix.from_columns(cols, meta=mat.meta)
 
 
 def _scaled(mat, r, c):
@@ -639,8 +645,9 @@ def _corrupting(monkeypatch, corruption):
     of F_2, so E_k and F_k stay transposes.  scale_e doubles all of E_1,
     which keeps every relation among the E_k and breaks [E_1,F_1] = H_1 − H_2.
     conjugate_d conjugates every E_k and F_k by D = diag(1, ..., d): every
-    relation holds, but F_k is no longer E_kᵀ.  The others add a matrix to
-    every H_i (ADDED_TO_H).
+    relation holds, but F_k is no longer E_kᵀ.  negate_both negates the
+    first entry of every E_k and the transposed entry of F_k.  The others
+    add a matrix to every H_i (ADDED_TO_H).
     """
     original = operators.operator_matrix
     swapped = {"swap": ("raise",), "swap_both": ("raise", "lower")}.get(corruption, ())
@@ -652,7 +659,7 @@ def _corrupting(monkeypatch, corruption):
             spec = GeneratorSpec(spec.kind, 3 - spec.index)
         mat = original(spec, partition, *rest)
         if spec.kind in scaled and spec.index == 2:
-            r, c = _first_entry_of_e2(partition)
+            r, c = _first_entry_of_e(partition)
             mat = _scaled(mat, *((r, c) if spec.kind == "raise" else (c, r)))
         if corruption == "scale_e" and (spec.kind, spec.index) == ("raise", 1):
             mat = OperatorMatrix.from_columns(
@@ -661,6 +668,9 @@ def _corrupting(monkeypatch, corruption):
             mat = OperatorMatrix.from_columns(
                 [{r: v.scale(Fraction(r + 1, c + 1)) for r, v in col.items()}
                  for c, col in enumerate(mat.cols)])
+        if corruption == "negate_both" and spec.kind in ("raise", "lower"):
+            r, c = _first_entry_of_e(partition, spec.index)
+            mat = _negated(mat, *((r, c) if spec.kind == "raise" else (c, r)))
         if spec.kind == "diag" and corruption in ADDED_TO_H:
             mat = _plus(mat, ADDED_TO_H[corruption](mat.dim))
         return mat
@@ -774,3 +784,84 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
                     brackets = len(report.checks) - n * (n - 1) - (n - 1)
                     assert len(calls) == table + brackets, parts
                     assert len(traces) == n * (n - 1) + (n - 1), parts
+
+
+def _dense_commutator(a, b):
+    """A@B − B@A through ``apply`` and ``__sub__``: no code of ``commutator``."""
+    return a @ b - b @ a
+
+
+KERNEL_MODULES = [[2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0]]
+
+
+@pytest.mark.parametrize("corruption", [None, "negate_both", "conjugate_d", "tilt_h", "skew_h"])
+def test_commutator_matches_products_on_every_pair(monkeypatch, corruption):
+    _corrupting(monkeypatch, corruption)
+    for parts in KERNEL_MODULES:
+        partition = Partition(parts)
+        module = GTModule(partition)
+        n = partition.n
+        mats = [module.generator(kind, k) for kind in ("raise", "lower", "cartan")
+                for k in range(1, n)]
+        mats += [module.generator("diag", i) for i in range(1, n + 1)]
+        mats += [module.element(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                 if abs(i - j) > 1]
+        for a in mats:
+            for b in mats:
+                got = commutator(a, b)
+                assert got == _dense_commutator(a, b), (parts, corruption, a, b)
+                assert all(v.terms for _, _, v in got.nonzeros())
+
+
+def test_commutator_hand_built_cases():
+    s, t = sqrt_rational(2), RadicalScalar({3: Fraction(-1, 2)})
+    multi = RadicalScalar({1: 1, 2: Fraction(1, 3)})
+    twin = RadicalScalar({2: 1})  # equal to s, another object
+    assert twin == s and twin is not s
+    z = RadicalScalar.zero()
+    cases = [
+        # one scalar object in both operands
+        ([[z, s], [s, z]], [[s, z], [z, s]]),
+        ([[s, s], [z, s]], [[z, s], [s, z]]),
+        # distinct objects with equal values
+        ([[s, twin], [twin, z]], [[twin, z], [s, s]]),
+        # multi-term entries
+        ([[multi, s], [t, z]], [[z, multi], [multi, t]]),
+        ([[multi, multi, z], [z, t, multi], [s, z, multi]],
+         [[t, z, multi], [multi, s, z], [z, multi, twin]]),
+    ]
+    for a, b in cases:
+        ma, mb = OperatorMatrix(a), OperatorMatrix(b)
+        got = commutator(ma, mb)
+        assert got == _dense_commutator(ma, mb)
+        assert all(v.terms for _, _, v in got.nonzeros())
+    # column 1 cancels (B's diagonal entries 0 and 1 are one object, or equal
+    # values), while column 2 keeps x·w − y·x ≠ 0
+    x, w = multi, t
+    for y, y2 in ((s, s), (s, twin)):
+        a = OperatorMatrix([[z, x, x], [z, z, z], [z, z, z]])
+        b = OperatorMatrix([[y, z, z], [z, y2, z], [z, z, w]])
+        got = commutator(a, b)
+        assert got == _dense_commutator(a, b)
+        assert got.cols[1] == {} and got.cols[0] == {}
+        assert got.cols[2] == {0: x * w - y * x}
+
+
+def test_intact_relations_multiply_each_distinct_pair_once(monkeypatch):
+    calls = []
+    original = RadicalScalar.__mul__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(RadicalScalar, "__mul__", counting)
+    partition = Partition([3, 2, 1, 0])
+    module = GTModule(partition)
+    assert verify_sln_relations(partition, module).passed
+    # each distinct (entry of A, entry of B) pair once per commutator, and
+    # one root object per coefficient value
+    assert len(calls) < 150
+    assert len(module.roots) == len(set(module.roots.values()))
+    assert all(shifted == [e - i for i, e in enumerate(row, start=1)]
+               for row, shifted in module.shifts.items())

@@ -418,9 +418,9 @@ def test_certificate_falls_back_on_a_negated_entry(monkeypatch):
 
 def test_intact_certificate_builds_no_basis_matrix(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the certificate built or ranked a basis matrix")
+        raise AssertionError("the certificate built a family or a basis matrix, or ranked one")
 
-    for name in ("basis_matrix", "rank"):
+    for name in ("basis_matrix", "rank", "monomial_family"):
         monkeypatch.setattr(monomials, name, forbidden)
     for partition in LADDER:
         module = GTModule(partition)
@@ -438,7 +438,11 @@ def test_reached_sets_are_the_basis_matrix_supports(parts):
     for schedule in schedules:
         family = monomials.monomial_family(partition, schedule, module.basis)
         mat = monomials.basis_matrix(family, module)
-        assert monomials.reached_sets(family, module) == [frozenset(col) for col in mat.cols]
+        steps = [monomials.word_steps(word) for word in family.words]
+        assert monomials.reached_sets(steps, module) == [frozenset(col) for col in mat.cols]
+        # the certificate's steps, read from the sweep exponents with no word
+        _, order = monomials.resolve_schedule(partition.n, schedule)
+        assert monomials.sweep_steps(module.basis, order) == steps
 
 
 def test_lowering_positivity_refuses_a_two_term_entry():
