@@ -88,14 +88,17 @@ def emit(text: str, output: str | None):
 
 
 def max_dim_option(command):
-    """Add --max-dim: refuse, before any enumeration, a module larger than it."""
+    """Add --max-dim: refuse, before any enumeration, a module larger than it.
+
+    A command given one ``--pattern`` enumerates nothing and is not refused.
+    """
 
     @click.option("--max-dim", type=int, default=5000, show_default=True,
                   help="Refuse modules of larger dimension (Weyl formula).")
     @functools.wraps(command)
     def guarded(partition, max_dim, **kwargs):
         d = dimension(partition)
-        if d > max_dim:
+        if d > max_dim and kwargs.get("pattern_text") is None:
             click.echo("dimension %d exceeds --max-dim %d" % (d, max_dim), err=True)
             sys.exit(2)
         return command(partition, **kwargs)

@@ -4,7 +4,7 @@ The raising generator for row k bumps one entry of row(k) by 1; the
 coefficient attached to bumping position j is a square root of a rational
 built from the shifted entries l[i][r] = row(r)[i] - i.  Lowering uses the
 same formula with l[j][k] replaced by l[j][k] - 1, and diagonal generators
-act by the pattern's weight (``weights.weight_of``).  Invalid targets are
+act by the pattern's weight (``weights.kappa_of``).  Invalid targets are
 skipped before any formula is evaluated; for a valid target the denominator
 is provably nonzero (shifted entries within a row are strictly decreasing)
 and the radicand is positive.
@@ -19,7 +19,7 @@ from math import gcd
 
 from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
 from .scalars import RadicalScalar, _make, sqrt_rational
-from .weights import weight_of
+from .weights import kappa_of
 
 
 class InternalConsistencyError(RuntimeError):
@@ -165,7 +165,7 @@ def act_diag(i: int, xi: GTPattern) -> tuple[int, GTPattern]:
     """Diagonal generator: eigenvalue κ_i of ξ's weight."""
     if not 1 <= i <= xi.n:
         raise ValueError("diag index %d out of range for n=%d" % (i, xi.n))
-    return weight_of(xi).kappa[i - 1], xi
+    return kappa_of(xi)[i - 1], xi
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,7 @@ class GTModule:
 
     @cached_property
     def weights(self) -> list[tuple[int, ...]]:
-        return [weight_of(pat).kappa for pat in self.basis]
+        return [kappa_of(pat) for pat in self.basis]
 
     @cached_property
     def ladder_fault(self) -> str | None:
@@ -399,7 +399,7 @@ class GTModule:
         products of them never vanishes; the simplicity certificate reads
         this before it decides a column's support by reachability alone.
         """
-        return all(len(v.terms) == 1 and min(v.terms.values()) > 0
+        return all(len(v.terms) == 1 and next(iter(v.terms.values())).numerator > 0
                    for k in range(1, self.partition.n)
                    for col in self.generator("lower", k).cols for v in col.values())
 
@@ -450,7 +450,8 @@ def operator_matrix(
     else:  # H_k: κ_k; cartan k: κ_k − κ_{k+1}
         cartan = spec.kind == "cartan"
         evs = [w[k - 1] - (w[k] if cartan else 0) for w in module.weights]
-        cols = [{c: _make({1: Fraction(ev)})} if ev else {} for c, ev in enumerate(evs)]
+        scalars = {ev: _make({1: Fraction(ev)}) for ev in set(evs) if ev}
+        cols = [{c: scalars[ev]} if ev else {} for c, ev in enumerate(evs)]
     meta = (partition, spec.LETTERS[spec.kind], spec.index)
     return OperatorMatrix.from_columns(cols, meta=meta)
 
@@ -543,6 +544,12 @@ def _first_difference(a: OperatorMatrix, b: OperatorMatrix) -> str:
         r, c, a.cols[c].get(r, z), b.cols[c].get(r, z))
 
 
+def _is_diagonal(mat: OperatorMatrix, values: list[int]) -> bool:
+    """Whether mat is exactly diag(values), each entry compared with its int."""
+    return all(len(col) == 1 and c in col and col[c].terms == {1: v} if v else not col
+               for c, (col, v) in enumerate(zip(mat.cols, values)))
+
+
 def verify_sln_relations(
     partition: Partition, module: GTModule | None = None
 ) -> RelationReport:
@@ -555,10 +562,12 @@ def verify_sln_relations(
     gate checks that every H_i is exactly diag(κ_i), with the weights κ of
     ``module.weights`` compared as ints; that ``module.ladder_fault`` is
     None, so f_k = e_kᵀ and every entry of e_k moves the weight by +α_k; and
-    that [e_k, f_l] = δ_kl h_k for k ≤ l.  Then every entry of f_k = e_kᵀ
-    moves the weight by −α_k, and [e_l, f_k] = e_l e_kᵀ − e_kᵀ e_l
-    = (e_k f_l − f_l e_k)ᵀ = [e_k, f_l]ᵀ = δ_kl h_k, since h_k is diagonal:
-    so [e_k, f_l] = δ_kl h_k for all k, l.
+    that [e_k, f_l] = δ_kl h_k for k ≤ l.  It compares [e_k, f_k] with
+    diag(κ_k − κ_{k+1}) as ints, which is h_k since every H_i was just
+    checked exactly, and [e_k, f_l] for k < l with zero, so it subtracts no
+    matrices.  Then every entry of f_k = e_kᵀ moves the weight by −α_k,
+    and [e_l, f_k] = e_l e_kᵀ − e_kᵀ e_l = (e_k f_l − f_l e_k)ᵀ = [e_k, f_l]ᵀ
+    = δ_kl h_k, since h_k is diagonal: so [e_k, f_l] = δ_kl h_k for all k, l.
     If every H_i is diagonal, e_k (f_k) moves the weight by +α_k (−α_k) and
     [e_k, f_l] = δ_kl h_k, then ad makes each (e_i, f_i, h_i) an sl_2-triple
     on this finite-dimensional module.  For u = [e_i, e_j] (|i−j| > 1) or
@@ -590,13 +599,16 @@ def verify_sln_relations(
             return element(p[0], q[1])
         return diags[p[0]] - diags[p[1]]
 
-    serre = [((k, k + 1), (l + 1, l)) for k in range(1, n) for l in range(k, n)]
+    weights = module.weights
+
+    def serre_holds(k: int, l: int) -> bool:  # [e_k, f_l] = δ_kl diag(κ_k − κ_{k+1})
+        got = commutator(element(k, k + 1), element(l + 1, l))
+        return _is_diagonal(got, [w[k - 1] - w[k] for w in weights]) if k == l else got.is_zero()
+
     holds = (  # every H_i = diag(κ_i), the weight ladder, [e_k, f_l]
-        all(len(col) == 1 and c in col and col[c].terms == {1: w[i - 1]}
-            if w[i - 1] else not col
-            for i in idx for c, (col, w) in enumerate(zip(diags[i].cols, module.weights)))
+        all(_is_diagonal(diags[i], [w[i - 1] for w in weights]) for i in idx)
         and module.ladder_fault is None
-        and all(commutator(element(*p), element(*q)) == want(p, q) for p, q in serre)
+        and all(serre_holds(k, l) for k in range(1, n) for l in range(k, n))
     )
     pairs = [(i, j) for i in idx for j in idx if i != j]
     brackets = [(p, (p[1], l)) for p in pairs for l in idx if l not in p]

@@ -63,11 +63,15 @@ class WeightVector:
         return w
 
 
+def kappa_of(xi: GTPattern) -> tuple[int, ...]:
+    """(kappa_1, ..., kappa_n) as ints, each row summed once."""
+    sums = [sum(row) for row in xi.rows]
+    return tuple(b - a for a, b in zip([0, *sums], sums))
+
+
 def weight_of(xi: GTPattern) -> WeightVector:
     """kappa_i = sum(row(i)) - sum(row(i-1)) for i = 1..n."""
-    return WeightVector(
-        xi.content(i) - xi.content(i - 1) for i in range(1, xi.n + 1)
-    )
+    return WeightVector(kappa_of(xi))
 
 
 def fundamental_coords(w: WeightVector) -> list[int]:

@@ -491,6 +491,14 @@ def test_max_dim_refusal_is_one_line_without_traceback():
     assert proc.stdout == ""
 
 
+def test_max_dim_spares_weights_of_one_pattern(monkeypatch):
+    # one --pattern enumerates nothing, so a module past --max-dim is fine
+    calls = _count_enumerations(monkeypatch)
+    result = run(["weights", "20,10,5,0", "--pattern", "20,10,5,0;20,10,5;20,10;20"])
+    assert "kappa=(20,10,5,0)" in result.output
+    assert calls == []
+
+
 # -- parser fuzzing ------------------------------------------------------------
 
 PARSER_TEXT = st.text(

@@ -624,6 +624,22 @@ def _plus(mat, extra):
     return mat - OperatorMatrix.from_columns(cols)
 
 
+def _swapped_in_weight_space(mat, partition):
+    """P·mat·P for the transposition P of the first two patterns of one weight."""
+    first = {}
+    for i, pat in enumerate(enumerate_patterns(partition)):
+        j = first.setdefault(weight_of(pat), i)
+        if j != i:
+            break
+    else:
+        return mat
+    swap = {i: j, j: i}
+    cols = [{} for _ in mat.cols]
+    for r, c, v in mat.nonzeros():
+        cols[swap.get(c, c)][swap.get(r, r)] = v
+    return OperatorMatrix.from_columns(cols, meta=mat.meta)
+
+
 # Added to every H_i: none changes any H_i − H_j or trace, so every named
 # check still holds.  Each makes some H_i differ from diag(κ_i), the weights
 # of GTModule.weights, so the relation gate fails: shift_h and root_shift_h
@@ -644,14 +660,20 @@ def _corrupting(monkeypatch, corruption):
     also swaps F_1 and F_2, and scale_both also doubles the transposed entry
     of F_2, so E_k and F_k stay transposes.  scale_e doubles all of E_1,
     which keeps every relation among the E_k and breaks [E_1,F_1] = H_1 − H_2.
+    scale_pair doubles all of E_1 and of F_1: every H_i, the weight ladder
+    and F_1 = E_1ᵀ still hold, and only [e_1, f_1] = 4h_1 ≠ h_1 fails the gate.
     conjugate_d conjugates every E_k and F_k by D = diag(1, ..., d): every
-    relation holds, but F_k is no longer E_kᵀ.  negate_both negates the
+    relation holds, but F_k is no longer E_kᵀ.  permute_2 conjugates E_2 and
+    F_2 by the transposition of two patterns of one weight: every H_i, the
+    weight ladder, F_k = E_kᵀ and [e_k, f_k] = h_k still hold, but
+    [e_1, f_2] = 0 fails on (2,1,0) and (3,2,1,0).  negate_both negates the
     first entry of every E_k and the transposed entry of F_k.  The others
     add a matrix to every H_i (ADDED_TO_H).
     """
     original = operators.operator_matrix
     swapped = {"swap": ("raise",), "swap_both": ("raise", "lower")}.get(corruption, ())
     scaled = {"scale": ("raise",), "scale_both": ("raise", "lower")}.get(corruption, ())
+    doubled = {"scale_e": ("raise",), "scale_pair": ("raise", "lower")}.get(corruption, ())
     two = RadicalScalar.from_rational(2)
 
     def corrupted(spec, partition, *rest):
@@ -661,7 +683,7 @@ def _corrupting(monkeypatch, corruption):
         if spec.kind in scaled and spec.index == 2:
             r, c = _first_entry_of_e(partition)
             mat = _scaled(mat, *((r, c) if spec.kind == "raise" else (c, r)))
-        if corruption == "scale_e" and (spec.kind, spec.index) == ("raise", 1):
+        if spec.kind in doubled and spec.index == 1:
             mat = OperatorMatrix.from_columns(
                 [{r: v * two for r, v in col.items()} for col in mat.cols])
         if corruption == "conjugate_d" and spec.kind in ("raise", "lower"):
@@ -671,6 +693,8 @@ def _corrupting(monkeypatch, corruption):
         if corruption == "negate_both" and spec.kind in ("raise", "lower"):
             r, c = _first_entry_of_e(partition, spec.index)
             mat = _negated(mat, *((r, c) if spec.kind == "raise" else (c, r)))
+        if corruption == "permute_2" and spec.kind in ("raise", "lower") and spec.index == 2:
+            mat = _swapped_in_weight_space(mat, partition)
         if spec.kind == "diag" and corruption in ADDED_TO_H:
             mat = _plus(mat, ADDED_TO_H[corruption](mat.dim))
         return mat
@@ -683,7 +707,8 @@ PASSING = (None, "conjugate_d", *ADDED_TO_H)
 
 @pytest.mark.parametrize(
     "corruption",
-    [None, "scale", "swap", "swap_both", "scale_both", "scale_e", "conjugate_d", *ADDED_TO_H],
+    [None, "scale", "swap", "swap_both", "scale_both", "scale_e", "scale_pair", "conjugate_d",
+     *ADDED_TO_H],
 )
 def test_relation_report_matches_exhaustive_oracle(monkeypatch, corruption):
     _corrupting(monkeypatch, corruption)
@@ -746,9 +771,27 @@ def test_relation_report_matches_oracle_with_one_entry_changed(
         assert report.checks == _oracle_relation_checks(partition)
 
 
+@pytest.mark.parametrize("parts", [[2, 1, 0], [3, 2, 1, 0]])
+def test_relation_gate_checks_brackets_of_distinct_rows(monkeypatch, parts):
+    # permute_2 keeps every other condition of the gate, so only its check
+    # [e_1, f_2] = 0 can send the verdict to the per-check fallback
+    _corrupting(monkeypatch, "permute_2")
+    partition = Partition(parts)
+    module = GTModule(partition)
+    report = verify_sln_relations(partition, module)
+    assert module.ladder_fault is None
+    for k in range(1, partition.n):
+        h = module.generator("diag", k) - module.generator("diag", k + 1)
+        assert commutator(module.element(k, k + 1), module.element(k + 1, k)) == h
+    assert not commutator(module.element(1, 2), module.element(3, 2)).is_zero()
+    assert not report.passed
+    assert report.checks == _oracle_relation_checks(partition)
+
+
 def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
-    calls, traces = [], []
+    calls, traces, subs = [], [], []
     original, original_trace = operators.commutator, OperatorMatrix.trace
+    original_sub = OperatorMatrix.__sub__
 
     def counting(*args):
         calls.append(args)
@@ -758,8 +801,13 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
         traces.append(mat)
         return original_trace(mat)
 
+    def counting_sub(a, b):
+        subs.append((a, b))
+        return original_sub(a, b)
+
     monkeypatch.setattr(operators, "commutator", counting)
     monkeypatch.setattr(OperatorMatrix, "trace", counting_trace)
+    monkeypatch.setattr(OperatorMatrix, "__sub__", counting_sub)
     for corruption in (None, "shift_h", "tilt_h", "skew_h", "conjugate_d", "root_shift_h"):
         with monkeypatch.context() as patch:
             _corrupting(patch, corruption)
@@ -767,14 +815,17 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
                           [1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]):
                 calls.clear()
                 traces.clear()
+                subs.clear()
                 n = len(parts)
                 report = verify_sln_relations(Partition(parts))
                 assert report.passed
                 if corruption is None:
                     # only the brackets [e_k, f_l] with k <= l; no non-adjacent
-                    # E(i,j), and no trace: every trace check follows from them
+                    # E(i,j), and no trace: every trace check follows from them;
+                    # each bracket is compared with ints, so no matrix is subtracted
                     assert len(calls) == n * (n - 1) // 2, parts
                     assert not traces, parts
+                    assert not subs, parts
                 else:
                     # the gate fails (some H_i is not diag(κ_i), F_k ≠ E_kᵀ
                     # or Serre's relations): all n(n-1) - 2(n-1) non-adjacent
