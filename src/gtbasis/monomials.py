@@ -78,9 +78,9 @@ def monomial_family(
     name, order = resolve_schedule(partition.n, schedule)
     if basis is None:
         basis = enumerate_patterns(partition)
-    specs = [GeneratorSpec("lower", r) for r in order]
-    exps = [tuple(sweep_exponents(pat, order)) for pat in basis]
-    words = [GeneratorWord(zip(specs, e)) for e in exps]
+    specs = [GeneratorSpec("lower", r) for r in order]  # rows in range: resolve_schedule
+    exps = [tuple(sweep_exponents(pat, order)) for pat in basis]  # gains: never negative
+    words = [GeneratorWord._trusted(tuple(zip(specs, e))) for e in exps]
     first: dict[tuple[int, ...], int] = {}  # one row order: exponents name the word
     duplicate_of = [None if first.setdefault(e, i) == i else first[e]
                     for i, e in enumerate(exps)]

@@ -91,28 +91,29 @@ class ModuleVector:
 
 
 def _act(rows, k: int, step: int, roots: dict, shifts: dict) -> list:
-    """(target rows, coefficient) pairs of raising (step=1) or lowering (step=-1) row k.
+    """(new row k, coefficient) pairs of raising (step=1) or lowering (step=-1) row k.
 
-    ``rows`` are a pattern's row tuples.  A target is skipped unless it passes
-    the interleaving tests of ``GTPattern.replace``.  The lowering coefficient
-    is the raising one with l_jk replaced by l_jk - 1, so one formula serves
-    both; its radicand num/den is kept as plain ints in lowest terms, and
-    ``roots`` memoizes each square root by that (num, den), so equal
-    coefficients share one object.  ``shifts`` memoizes each row's shifted
-    entries by the row tuple.
+    ``rows`` are a pattern's row tuples, of which only rows k−1, k and k+1
+    (``rows[k-2:k+1]``; no row k−1 when k = 1) are read, so every pattern
+    with those three rows gets the same pairs; the caller puts each new row
+    k in place of the pattern's own.  A target is skipped unless it passes
+    the interleaving tests of ``GTPattern.replace``.  The lowering
+    coefficient is the raising one with l_jk replaced by l_jk - 1, so one
+    formula serves both; its radicand num/den is kept as plain ints in
+    lowest terms, and ``roots`` memoizes each square root by that
+    (num, den), so equal coefficients share one object.  ``shifts``
+    memoizes each row's shifted entries by the row tuple.
     """
     name, verb = ("raise", "raising") if step > 0 else ("lower", "lowering")
     if not 1 <= k < len(rows):
         raise ValueError("%s row index %d out of range for n=%d" % (name, k, len(rows)))
     row, upper = rows[k - 1], rows[k]
     lower = rows[k - 2] if k > 1 else ()
-    shifted = []
-    for r in (row, upper, lower):
-        ls = shifts.get(r)
-        if ls is None:
-            ls = shifts[r] = [e - i for i, e in enumerate(r, start=1)]
-        shifted.append(ls)
-    lk, lku, lkd = shifted
+    lk, lku, lkd = shifts.get(row), shifts.get(upper), shifts.get(lower)
+    if lk is None or lku is None or lkd is None:
+        for r in (row, upper, lower):
+            shifts[r] = [e - i for i, e in enumerate(r, start=1)]
+        lk, lku, lkd = shifts[row], shifts[upper], shifts[lower]
     out = []
     for j in range(1, k + 1):
         value = row[j - 1] + step
@@ -146,19 +147,22 @@ def _act(rows, k: int, step: int, roots: dict, shifts: dict) -> list:
         root = roots.get(key)
         if root is None:
             root = roots[key] = sqrt_rational(Fraction(*key))
-        target = rows[:k - 1] + (row[:j - 1] + (value,) + row[j:],) + rows[k:]
-        out.append((target, root))
+        out.append((row[:j - 1] + (value,) + row[j:], root))
     return out
 
 
 def act_raise(k: int, xi: GTPattern) -> ModuleVector:
     """Action of the raising generator on row k: sum over bumpable entries."""
-    return ModuleVector({GTPattern._trusted(t): c for t, c in _act(xi.rows, k, 1, {}, {})})
+    rows = xi.rows
+    return ModuleVector({GTPattern._trusted(rows[:k - 1] + (r,) + rows[k:]): c
+                         for r, c in _act(rows, k, 1, {}, {})})
 
 
 def act_lower(k: int, xi: GTPattern) -> ModuleVector:
     """Action of the lowering generator on row k (adjoint of act_raise)."""
-    return ModuleVector({GTPattern._trusted(t): c for t, c in _act(xi.rows, k, -1, {}, {})})
+    rows = xi.rows
+    return ModuleVector({GTPattern._trusted(rows[:k - 1] + (r,) + rows[k:]): c
+                         for r, c in _act(rows, k, -1, {}, {})})
 
 
 def act_diag(i: int, xi: GTPattern) -> tuple[int, GTPattern]:
@@ -188,6 +192,11 @@ class GeneratorSpec:
             if known == letter:
                 return cls(kind, index)
         raise ValueError("unknown generator letter %r" % (letter,))
+
+    @cached_property
+    def label(self) -> str:
+        """A raise/lower generator's name in word text: E12, F23, ..."""
+        return "%s%d%d" % (self.LETTERS[self.kind], self.index, self.index + 1)
 
     def mirror(self) -> "GeneratorSpec":
         """The transpose: raise <-> lower; diag and cartan are their own."""
@@ -395,13 +404,17 @@ class GTModule:
     def lowering_positive(self) -> bool:
         """Whether every entry of every F_k is one term c·√d with c > 0.
 
-        Checked in O(nnz).  Such an entry is a positive real, so a sum of
-        products of them never vanishes; the simplicity certificate reads
-        this before it decides a column's support by reachability alone.
+        Each distinct entry object is checked once, keyed by ``id`` while
+        the matrices hold them: on an intact module the entries are the few
+        shared objects of ``roots``.  Such an entry is a positive real, so a
+        sum of products of them never vanishes; the simplicity certificate
+        reads this before it decides a column's support by reachability
+        alone.
         """
+        entries = {id(v): v for k in range(1, self.partition.n)
+                   for col in self.generator("lower", k).cols for v in col.values()}
         return all(len(v.terms) == 1 and next(iter(v.terms.values())).numerator > 0
-                   for k in range(1, self.partition.n)
-                   for col in self.generator("lower", k).cols for v in col.values())
+                   for v in entries.values())
 
     @classmethod
     def of(cls, partition: Partition, module: GTModule | None = None,
@@ -445,8 +458,21 @@ def operator_matrix(
     index, k = module.index, spec.index
     if spec.kind in ("raise", "lower"):
         step, roots, shifts = (1 if spec.kind == "raise" else -1), module.roots, module.shifts
-        cols = [{index[t]: v for t, v in _act(pat.rows, k, step, roots, shifts)}
-                for pat in module.basis]
+        acts: dict[tuple, list] = {}  # rows k−1..k+1 -> _act's pairs
+        cols = []
+        lo = max(k - 2, 0)
+        for pat in module.basis:
+            rows = pat.rows
+            hood = rows[lo:k + 1]
+            pairs = acts.get(hood)
+            if pairs is None:
+                pairs = acts[hood] = _act(rows, k, step, roots, shifts)
+            col = {}
+            for row, v in pairs:
+                target = list(rows)
+                target[k - 1] = row
+                col[index[tuple(target)]] = v
+            cols.append(col)
     else:  # H_k: κ_k; cartan k: κ_k − κ_{k+1}
         cartan = spec.kind == "cartan"
         evs = [w[k - 1] - (w[k] if cartan else 0) for w in module.weights]

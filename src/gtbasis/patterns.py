@@ -187,7 +187,7 @@ class GTPattern:
 
     def to_string(self) -> str:
         """Canonical text form: rows top-to-bottom, ";"-separated."""
-        return ";".join(",".join(str(e) for e in row) for row in reversed(self.rows))
+        return ";".join([",".join(map(str, row)) for row in reversed(self.rows)])
 
     @classmethod
     def from_string(cls, text: str, partition: Partition | None = None) -> "GTPattern":
@@ -264,9 +264,10 @@ def enumerate_patterns(partition: Partition) -> list[GTPattern]:
             for c in choices:
                 grown.append((tuple(c),) + rows)
         triangles = grown
-    out = [GTPattern._trusted(rows) for rows in triangles]
-    out.sort(key=GTPattern.key)
-    return out
+    # row i has i entries in every triangle, so comparing the row tuples in
+    # order is comparing the flattened keys
+    triangles.sort()
+    return [GTPattern._trusted(rows) for rows in triangles]
 
 
 def dimension(partition: Partition) -> int:

@@ -46,6 +46,13 @@ class GeneratorWord:
                 raise ValueError("row index %d below 1" % spec.index)
         object.__setattr__(self, "factors", factors)
 
+    @classmethod
+    def _trusted(cls, factors: tuple) -> "GeneratorWord":
+        """Wrap (spec, exp) pairs known to pass ``__init__``'s checks, unchecked."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "factors", factors)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorWord is immutable")
 
@@ -63,9 +70,7 @@ class GeneratorWord:
     def to_text(self) -> str:
         if not self.factors:
             return "(empty)"
-        letters = GeneratorSpec.LETTERS
-        return " ".join(["%s%d%d^%d" % (letters[s.kind], s.index, s.index + 1, exp)
-                         for s, exp in self.factors])
+        return " ".join(["%s^%d" % (s.label, exp) for s, exp in self.factors])
 
     @classmethod
     def from_text(cls, text: str) -> "GeneratorWord":
@@ -173,11 +178,12 @@ def apply_generator(spec: GeneratorSpec, v: ModuleVector) -> ModuleVector:
     """One application of a raising/lowering generator to a vector."""
     if spec.kind not in ("raise", "lower"):
         raise ValueError("only raise/lower generators act in words")
-    step, roots, shifts = (1 if spec.kind == "raise" else -1), {}, {}
+    k, step, roots, shifts = spec.index, (1 if spec.kind == "raise" else -1), {}, {}
     out: dict[GTPattern, RadicalScalar] = {}
     for pat, coeff in v.terms.items():
-        for rows, c in _act(pat.rows, spec.index, step, roots, shifts):
-            target = GTPattern._trusted(rows)
+        rows = pat.rows
+        for row, c in _act(rows, k, step, roots, shifts):
+            target = GTPattern._trusted(rows[:k - 1] + (row,) + rows[k:])
             prod = c * coeff
             out[target] = out[target] + prod if target in out else prod
     return ModuleVector(out)

@@ -260,7 +260,9 @@ class RadicalScalar:
     # -- conversions ---------------------------------------------------------
 
     def to_float(self) -> float:
-        return sum(float(c) * sqrt(d) for d, c in self.terms.items())
+        # int / int is correctly rounded, as float(Fraction) is, without its
+        # method calls; sum(), not +=, since Python 3.12's sum compensates
+        return sum(c.numerator / c.denominator * sqrt(d) for d, c in self.terms.items())
 
     def __float__(self) -> float:
         return self.to_float()

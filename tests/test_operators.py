@@ -415,6 +415,32 @@ def test_generator_columns_match_the_formula():
                     assert mat.cols[c] == want, (parts, kind, k, xi)
 
 
+@pytest.mark.parametrize("parts", [[2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0],
+                                   [3, 2, 1, 0, 0], [2, 1, 0, 0, 0, 0]])
+def test_generator_columns_are_the_per_pattern_action(parts):
+    """Each column of E_k / F_k is act_raise / act_lower of its own pattern.
+
+    The build evaluates the coefficients once per distinct rows k−1..k+1;
+    patterns sharing those rows but differing elsewhere must still reach
+    their own targets, so the test counts how many such columns it met.
+    """
+    partition = Partition(parts)
+    module = GTModule(partition)
+    shared = 0
+    for kind, act in (("raise", act_raise), ("lower", act_lower)):
+        for k in range(1, partition.n):
+            mat = module.generator(kind, k)
+            first = {}  # rows k−1..k+1 -> first column with them
+            for c, xi in enumerate(module.basis):
+                want = {module.index[t.rows]: v for t, v in act(k, xi).terms.items()}
+                assert mat.cols[c] == want, (parts, kind, k, xi)
+                other = first.setdefault(xi.rows[max(k - 2, 0):k + 1], c)
+                if other != c and want:
+                    shared += 1
+                    assert not set(mat.cols[c]) & set(mat.cols[other])
+    assert (shared > 0) == (partition.n > 3)
+
+
 CASIMIR_SCALARS = {
     (1, 0): 2,
     (2, 1, 0): 9,

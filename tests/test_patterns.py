@@ -150,6 +150,14 @@ def test_enumerate_210_count_and_order():
         assert validate([list(r) for r in p.rows], P210) == []
 
 
+def test_enumeration_is_in_key_order_for_n_2_to_6():
+    for parts in ([4, 0], [3, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0], [2, 1, 1, 0, 0, 0]):
+        pats = enumerate_patterns(Partition(parts))
+        keys = [p.key() for p in pats]
+        assert all(a < b for a, b in zip(keys, keys[1:])), parts
+        assert len(pats) == dimension(Partition(parts)), parts
+
+
 def test_enumerate_trivial_module():
     pats = enumerate_patterns(Partition([0, 0, 0]))
     assert len(pats) == 1

@@ -119,6 +119,16 @@ def test_word_text_round_trip():
     assert GeneratorWord.from_text("").factors == ()
     assert GeneratorWord.from_text("(empty)").factors == ()
     assert GeneratorWord(()).to_text() == "(empty)"
+    # rows 10 and up: the row pair "1011" must split as 10, 11
+    for text in ("E1011^2", "F910^1 F1011^3 E12^0"):
+        assert GeneratorWord.from_text(text).to_text() == text
+    word = GeneratorWord([(GeneratorSpec("raise", 10), 2), (GeneratorSpec("lower", 12), 1)])
+    assert word.to_text() == "E1011^2 F1213^1"
+    assert GeneratorWord.from_text(word.to_text()) == word
+    family = monomials.monomial_family(Partition([2, 1] + [0] * 10))
+    assert max(spec.index for w in family.words for spec, _ in w.factors) == 11
+    for w in family.words:
+        assert GeneratorWord.from_text(w.to_text()) == w
 
 
 def test_word_json_round_trip():
@@ -452,6 +462,16 @@ def test_lowering_positivity_refuses_a_two_term_entry():
     r = min(f.cols[c])
     f.cols[c][r] = f.cols[c][r] + sqrt_rational(2)  # now two radical terms
     assert not module.lowering_positive
+    # the last entry of each F_k, whose value other entries share as one object
+    partition = Partition([3, 2, 1, 0])
+    for k in range(1, partition.n):
+        module = GTModule(partition)
+        f = module.generator("lower", k)
+        c = max(c for c, col in enumerate(f.cols) if col)
+        r = max(f.cols[c])
+        assert any(v is f.cols[c][r] for col in f.cols[:c] for v in col.values())
+        f.cols[c][r] = -f.cols[c][r]
+        assert not module.lowering_positive, k
 
 
 def test_verify_never_replays_raising_words(monkeypatch):

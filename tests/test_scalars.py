@@ -98,6 +98,21 @@ def test_to_float_examples():
     assert float(combined) == combined.to_float()
 
 
+def test_to_float_is_the_exact_float_sum_bit_for_bit():
+    rng = random.Random(20)
+    radicands = [1, 2, 3, 5, 6, 7, 10, 15, 30, 105, 9699690]
+    cases = [SQRT2, RadicalScalar({2: Fraction(1, 2), 6: Fraction(1, 2)})]
+    for size in (1, 1, 2, 3, 4) * 60:
+        big = 10 ** rng.choice((3, 12, 30))  # past 2**53 too: one rounding, not two
+        terms = {d: Fraction(rng.randint(-big, big) or 1, rng.randint(1, big))
+                 for d in rng.sample(radicands, size)}
+        cases.append(RadicalScalar(terms))
+    assert any(len(x.terms) == 1 for x in cases) and any(len(x.terms) > 2 for x in cases)
+    for x in cases:
+        want = sum(float(c) * math.sqrt(d) for d, c in x.terms.items())
+        assert x.to_float() == want and float(x) == want, x
+
+
 def test_canonicalization_collapses_radicands():
     # √8 = 2√2, so {8: 1} and {2: 2} are the same canonical value.
     assert RadicalScalar({8: 1}) == RadicalScalar({2: 2})
