@@ -26,70 +26,6 @@ class InternalConsistencyError(RuntimeError):
     """A formula produced something impossible (zero denominator, bad sign)."""
 
 
-class ModuleVector:
-    """Sparse linear combination of patterns with RadicalScalar coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[GTPattern, RadicalScalar] | None = None):
-        clean = {}
-        if terms:
-            for pat, coeff in terms.items():
-                if not coeff.is_zero():
-                    clean[pat] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleVector is immutable")
-
-    @classmethod
-    def unit(cls, pattern: GTPattern) -> "ModuleVector":
-        return cls({pattern: RadicalScalar.one()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, pattern: GTPattern) -> RadicalScalar:
-        return self.terms.get(pattern, RadicalScalar.zero())
-
-    def support(self) -> set[GTPattern]:
-        return set(self.terms)
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        out = dict(self.terms)
-        for pat, coeff in other.terms.items():
-            acc = out.get(pat)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.pop(pat, None)
-            else:
-                out[pat] = acc
-        res = ModuleVector.__new__(ModuleVector)
-        object.__setattr__(res, "terms", out)
-        return res
-
-    def scale(self, c: RadicalScalar) -> "ModuleVector":
-        if c.is_zero():
-            return ModuleVector()
-        res = ModuleVector.__new__(ModuleVector)
-        object.__setattr__(res, "terms", {p: v * c for p, v in self.terms.items()})
-        return res
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleVector) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "ModuleVector(0)"
-        bits = [
-            "(%s)*%s" % (coeff, pat.to_string())
-            for pat, coeff in sorted(self.terms.items(), key=lambda kv: kv[0].key())
-        ]
-        return "ModuleVector(%s)" % " + ".join(bits)
-
-
 def _act(rows, k: int, step: int, roots: dict, shifts: dict) -> list:
     """(new row k, coefficient) pairs of raising (step=1) or lowering (step=-1) row k.
 
@@ -151,18 +87,37 @@ def _act(rows, k: int, step: int, roots: dict, shifts: dict) -> list:
     return out
 
 
-def act_raise(k: int, xi: GTPattern) -> ModuleVector:
+def apply_generator(
+    spec: GeneratorSpec, v: dict[GTPattern, RadicalScalar]
+) -> dict[GTPattern, RadicalScalar]:
+    """One raise/lower step on a vector {pattern: nonzero value}.
+
+    Each pattern's new rows k from ``_act`` go in place of its own, the
+    products are summed per target, and entries that cancel are dropped, so
+    the result also holds only nonzero values, like an ``OperatorMatrix``
+    column.
+    """
+    if spec.kind not in ("raise", "lower"):
+        raise ValueError("only raise/lower generators act in words")
+    k, step, roots, shifts = spec.index, (1 if spec.kind == "raise" else -1), {}, {}
+    out: dict[GTPattern, RadicalScalar] = {}
+    for pat, coeff in v.items():
+        rows = pat.rows
+        for row, c in _act(rows, k, step, roots, shifts):
+            target = GTPattern._trusted(rows[:k - 1] + (row,) + rows[k:])
+            prod = c * coeff
+            out[target] = out[target] + prod if target in out else prod
+    return {p: c for p, c in out.items() if not c.is_zero()}
+
+
+def act_raise(k: int, xi: GTPattern) -> dict[GTPattern, RadicalScalar]:
     """Action of the raising generator on row k: sum over bumpable entries."""
-    rows = xi.rows
-    return ModuleVector({GTPattern._trusted(rows[:k - 1] + (r,) + rows[k:]): c
-                         for r, c in _act(rows, k, 1, {}, {})})
+    return apply_generator(GeneratorSpec("raise", k), {xi: RadicalScalar.one()})
 
 
-def act_lower(k: int, xi: GTPattern) -> ModuleVector:
+def act_lower(k: int, xi: GTPattern) -> dict[GTPattern, RadicalScalar]:
     """Action of the lowering generator on row k (adjoint of act_raise)."""
-    rows = xi.rows
-    return ModuleVector({GTPattern._trusted(rows[:k - 1] + (r,) + rows[k:]): c
-                         for r, c in _act(rows, k, -1, {}, {})})
+    return apply_generator(GeneratorSpec("lower", k), {xi: RadicalScalar.one()})
 
 
 def act_diag(i: int, xi: GTPattern) -> tuple[int, GTPattern]:

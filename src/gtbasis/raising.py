@@ -15,8 +15,7 @@ from .operators import (
     GTModule,
     GeneratorSpec,
     InternalConsistencyError,
-    ModuleVector,
-    _act,
+    apply_generator,
 )
 from .patterns import GTPattern, Partition, highest_pattern
 from .scalars import RadicalScalar, json_int
@@ -174,26 +173,13 @@ def raising_word(xi: GTPattern, row_order: list[int] | None = None) -> Generator
                                    for r, e in zip(row_order, exps)]))
 
 
-def apply_generator(spec: GeneratorSpec, v: ModuleVector) -> ModuleVector:
-    """One application of a raising/lowering generator to a vector."""
-    if spec.kind not in ("raise", "lower"):
-        raise ValueError("only raise/lower generators act in words")
-    k, step, roots, shifts = spec.index, (1 if spec.kind == "raise" else -1), {}, {}
-    out: dict[GTPattern, RadicalScalar] = {}
-    for pat, coeff in v.terms.items():
-        rows = pat.rows
-        for row, c in _act(rows, k, step, roots, shifts):
-            target = GTPattern._trusted(rows[:k - 1] + (row,) + rows[k:])
-            prod = c * coeff
-            out[target] = out[target] + prod if target in out else prod
-    return ModuleVector(out)
-
-
-def apply_word(word: GeneratorWord, v: ModuleVector) -> ModuleVector:
+def apply_word(
+    word: GeneratorWord, v: dict[GTPattern, RadicalScalar]
+) -> dict[GTPattern, RadicalScalar]:
     """Apply the word rightmost factor first, powers as repeated action."""
     for spec, exp in reversed(word.factors):
         for _ in range(exp):
-            if v.is_zero():
+            if not v:
                 return v
             v = apply_generator(spec, v)
     return v
@@ -207,27 +193,27 @@ class RaiseOutcome:
     lambda_beta: RadicalScalar
     word: GeneratorWord
     minimal: GTPattern
-    residual: ModuleVector
+    residual: dict[GTPattern, RadicalScalar]
 
     def __bool__(self):
         return self.ok
 
 
-def raise_sum_to_highest(v: ModuleVector) -> RaiseOutcome:
-    """Raise a nonzero sum using the word of its minimal support pattern.
+def raise_sum_to_highest(v: dict[GTPattern, RadicalScalar]) -> RaiseOutcome:
+    """Raise a nonzero sum {pattern: nonzero value} by its minimal pattern's word.
 
     Returns an outcome rather than asserting: if the image is not a nonzero
     multiple of β, the leftover support is reported in ``residual``.
     """
-    if v.is_zero():
+    if not v:
         raise ValueError("cannot raise the zero vector")
-    minimal = min(v.terms, key=GTPattern.key)
+    minimal = min(v, key=GTPattern.key)
     beta = highest_pattern(minimal.partition)
     word = raising_word(minimal)
     image = apply_word(word, v)
-    lam = image.coeff(beta)
-    residual = ModuleVector({p: c for p, c in image.terms.items() if p != beta})
-    ok = residual.is_zero() and not lam.is_zero()
+    lam = image.get(beta, RadicalScalar.zero())
+    residual = {p: c for p, c in image.items() if p != beta}
+    ok = not residual and not lam.is_zero()
     return RaiseOutcome(ok, lam, word, minimal, residual)
 
 
@@ -237,11 +223,11 @@ def verify_raise(xi: GTPattern) -> RadicalScalar:
     Raises CertificationError unless the image is a nonzero multiple of the
     highest pattern alone.
     """
-    outcome = raise_sum_to_highest(ModuleVector.unit(xi))
-    if not outcome.residual.is_zero():
+    outcome = raise_sum_to_highest({xi: RadicalScalar.one()})
+    if outcome.residual:
         raise CertificationError(
             "raising %s leaves support on %s"
-            % (xi.to_string(), sorted(p.to_string() for p in outcome.residual.terms))
+            % (xi.to_string(), sorted(p.to_string() for p in outcome.residual))
         )
     if outcome.lambda_beta.is_zero():
         raise CertificationError("raising %s annihilated it" % (xi.to_string(),))

@@ -16,7 +16,6 @@ from click.testing import CliRunner
 from gtbasis.cli import main as cli_main
 from gtbasis.monomials import basis_matrix, monomial_family, rank
 from gtbasis.operators import (
-    ModuleVector,
     act_diag,
     act_lower,
     act_raise,
@@ -80,9 +79,7 @@ def criterion(capsys, number, description, budget):
 
 
 def table_vector(table_row):
-    return ModuleVector(
-        {pat(P210, target): rad(*coeff) for target, coeff in table_row.items()}
-    )
+    return {pat(P210, target): rad(*coeff) for target, coeff in table_row.items()}
 
 
 def test_criterion_1_dimension_and_enumeration(capsys):
@@ -113,12 +110,13 @@ def test_criterion_2_action_tables(capsys):
             assert act_diag(2, xi)[0] == H22_210[source]
             assert act_diag(3, xi)[0] == H33_210[source]
         # Adjointness forces a second term in these two images.
-        assert len(act_raise(2, pat(P210, "1,0;1")).support()) == 2
-        assert act_raise(2, pat(P210, "1,0;1")).coeff(pat(P210, "1,1;1")) == rad(
+        zero = RadicalScalar.zero()
+        assert len(act_raise(2, pat(P210, "1,0;1"))) == 2
+        assert act_raise(2, pat(P210, "1,0;1")).get(pat(P210, "1,1;1"), zero) == rad(
             1, 2, 6
         )
-        assert len(act_lower(2, pat(P210, "2,1;1")).support()) == 2
-        assert act_lower(2, pat(P210, "2,1;1")).coeff(pat(P210, "2,0;1")) == rad(
+        assert len(act_lower(2, pat(P210, "2,1;1"))) == 2
+        assert act_lower(2, pat(P210, "2,1;1")).get(pat(P210, "2,0;1"), zero) == rad(
             1, 2, 2
         )
 
@@ -137,12 +135,9 @@ def test_criterion_3_general_vs_closed_forms(capsys):
                     (act_lower(2, xi), closed_f32(m, p1, p2, q)),
                 ]
                 for image, closed in cases:
-                    expected = ModuleVector(
-                        {
-                            pat(partition, "%d,%d;%d" % t): coeff
-                            for t, coeff in closed
-                        }
-                    )
+                    expected = {
+                        pat(partition, "%d,%d;%d" % t): coeff for t, coeff in closed
+                    }
                     assert image == expected, (partition, xi.to_string())
                 h = closed_h(m, p1, p2, q)
                 for i in (1, 2, 3):

@@ -22,7 +22,6 @@ from gtbasis.monomials import (
 from gtbasis.operators import (
     GTModule,
     InternalConsistencyError,
-    ModuleVector,
     OperatorMatrix,
 )
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
@@ -147,11 +146,11 @@ def _word_by_word(family):
     """Reference basis matrix: each word applied to β on its own."""
     pats = enumerate_patterns(family.partition)
     index = {p: i for i, p in enumerate(pats)}
-    beta = ModuleVector.unit(highest_pattern(family.partition))
+    beta = {highest_pattern(family.partition): RadicalScalar.one()}
     cols = []
     for word in family.words:
         image = apply_word(word, beta)
-        cols.append({index[p]: v for p, v in image.terms.items()})
+        cols.append({index[p]: v for p, v in image.items()})
     return OperatorMatrix.from_columns(cols)
 
 
@@ -193,6 +192,7 @@ def test_basis_matrix_builds_each_lowering_matrix_once(monkeypatch):
     monkeypatch.setattr(operators, "operator_matrix", counting)
     monkeypatch.setattr(raising, "apply_word", forbidden)
     monkeypatch.setattr(raising, "apply_generator", forbidden)
+    monkeypatch.setattr(operators, "apply_generator", forbidden)
     for parts, schedule in (
         ([1, 0], "canonical"),
         ([2, 1, 0], "canonical"),

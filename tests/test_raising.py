@@ -12,8 +12,8 @@ from gtbasis.operators import (
     GTModule,
     GeneratorSpec,
     InternalConsistencyError,
-    ModuleVector,
     OperatorMatrix,
+    apply_generator,
 )
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
 from gtbasis.raising import (
@@ -61,7 +61,7 @@ ONE = RadicalScalar.one()
 
 
 def unit_sum(partition, compacts):
-    return ModuleVector({pat(partition, c): ONE for c in compacts})
+    return {pat(partition, c): ONE for c in compacts}
 
 
 def written_triple(word):
@@ -174,9 +174,9 @@ def test_apply_word_identity_and_single_factor():
     assert apply_word(GeneratorWord(()), v) == v
     lowered = apply_word(
         GeneratorWord(((GeneratorSpec("lower", 1), 1),)),
-        ModuleVector.unit(pat(P210, "2,1;2")),
+        {pat(P210, "2,1;2"): ONE},
     )
-    assert lowered == ModuleVector.unit(pat(P210, "2,1;1"))
+    assert lowered == {pat(P210, "2,1;1"): ONE}
 
 
 def test_verify_raise_examples():
@@ -193,9 +193,9 @@ def test_verify_raise_exhaustive():
             beta = highest_pattern(partition)
             for xi in enumerate_patterns(partition):
                 word = raising_word(xi)
-                image = apply_word(word, ModuleVector.unit(xi))
-                assert image.support() == {beta}, (partition, xi.to_string())
-                assert not image.coeff(beta).is_zero()
+                image = apply_word(word, {xi: ONE})
+                assert set(image) == {beta}, (partition, xi.to_string())
+                assert not image[beta].is_zero()
 
 
 def test_raise_sum_to_highest_simple_cases():
@@ -203,10 +203,21 @@ def test_raise_sum_to_highest_simple_cases():
     assert outcome.ok
     assert outcome.lambda_beta == ONE
     assert outcome.word.to_text() == "E12^0 E23^1 E12^1"
-    beta_outcome = raise_sum_to_highest(ModuleVector.unit(highest_pattern(P110)))
+    beta_outcome = raise_sum_to_highest({highest_pattern(P110): ONE})
     assert beta_outcome.ok and beta_outcome.lambda_beta == ONE
     with pytest.raises(ValueError):
-        raise_sum_to_highest(ModuleVector())
+        raise_sum_to_highest({})
+
+
+def test_cancelled_entries_are_dropped():
+    # E_2 sends (1,1;1) to (2,1;1) with √6/2 and (2,0;1) there with √2/2, so
+    # this combination cancels: a vector holds only nonzero values.
+    v = {pat(P210, "1,1;1"): rad(1, 2, 2), pat(P210, "2,0;1"): -rad(1, 2, 6)}
+    e2 = GeneratorSpec("raise", 2)
+    assert apply_generator(e2, v) == {}
+    assert apply_word(GeneratorWord(((GeneratorSpec("raise", 1), 1), (e2, 1))), v) == {}
+    with pytest.raises(ValueError):
+        raise_sum_to_highest(apply_generator(e2, v))
 
 
 def test_five_term_sum_intermediate_values():
@@ -214,20 +225,16 @@ def test_five_term_sum_intermediate_values():
     the minimal pattern is what certifies this vector, not that prefix."""
     v = unit_sum(P320, FIVE_TERM_SUPPORT_320)
     e12sq = apply_word(GeneratorWord(((GeneratorSpec("raise", 1), 2),)), v)
-    assert e12sq == ModuleVector(
-        {pat(P320, c): rad(*t) for c, t in FIVE_TERM_E12SQ_320.items()}
-    )
+    assert e12sq == {pat(P320, c): rad(*t) for c, t in FIVE_TERM_E12SQ_320.items()}
     prefix = GeneratorWord(
         ((GeneratorSpec("raise", 2), 1), (GeneratorSpec("raise", 1), 2))
     )
     after = apply_word(prefix, v)
-    assert after == ModuleVector(
-        {pat(P320, c): rad(*t) for c, t in FIVE_TERM_E23_E12SQ_320.items()}
-    )
+    assert after == {pat(P320, c): rad(*t) for c, t in FIVE_TERM_E23_E12SQ_320.items()}
     # the β coefficient is nonzero, but so is the residual:
     beta = highest_pattern(P320)
-    assert not after.coeff(beta).is_zero()
-    assert after.support() != {beta}
+    assert not after.get(beta, RadicalScalar.zero()).is_zero()
+    assert set(after) != {beta}
 
 
 def test_five_term_sum_raises_via_minimal_pattern():
@@ -236,21 +243,17 @@ def test_five_term_sum_raises_via_minimal_pattern():
     assert outcome.ok
     assert outcome.minimal == pat(P320, FIVE_TERM_MINIMAL_320)
     assert outcome.word.to_text() == FIVE_TERM_WORD_320
-    expected = ModuleVector(
-        {highest_pattern(P320): sum((rad(*t) for t in FIVE_TERM_LAMBDA_320),
-                                    RadicalScalar.zero())}
-    )
-    assert ModuleVector({highest_pattern(P320): outcome.lambda_beta}) == expected
-    assert outcome.residual.is_zero()
+    expected = {highest_pattern(P320): sum((rad(*t) for t in FIVE_TERM_LAMBDA_320),
+                                           RadicalScalar.zero())}
+    assert {highest_pattern(P320): outcome.lambda_beta} == expected
+    assert outcome.residual == {}
 
 
 def test_two_term_sum_420():
     v = unit_sum(P420, SUM_SUPPORT_420)
     word = GeneratorWord.from_text(SUM_WORD_420)
     image = apply_word(word, v)
-    assert image == ModuleVector(
-        {pat(P420, c): rad(*t) for c, t in SUM_RESULT_420.items()}
-    )
+    assert image == {pat(P420, c): rad(*t) for c, t in SUM_RESULT_420.items()}
 
 
 def test_simplicity_certificate_small():
@@ -275,12 +278,10 @@ def test_raise_sum_reports_cancellation():
     # The minimal pattern's word sends the larger (3,0;1) to (4√3/3)·β, so
     # scaling it by -√2 cancels the (2,1;1) contribution 4√6/3 exactly; the
     # outcome must report failure (λ_β = 0), not certify.
-    v = ModuleVector(
-        {
-            pat(P320, "2,1;1"): ONE,
-            pat(P320, "3,0;1"): -sqrt_rational(2),
-        }
-    )
+    v = {
+        pat(P320, "2,1;1"): ONE,
+        pat(P320, "3,0;1"): -sqrt_rational(2),
+    }
     outcome = raise_sum_to_highest(v)
     assert not outcome.ok
     assert not bool(outcome)
@@ -480,6 +481,7 @@ def test_verify_never_replays_raising_words(monkeypatch):
 
     for name in ("verify_raise", "apply_word", "apply_generator"):
         monkeypatch.setattr(raising, name, forbidden)
+    monkeypatch.setattr(operators, "apply_generator", forbidden)
     for partition in LADDER[:3]:
         assert simplicity_certificate(partition).certified
         result = CliRunner().invoke(main, ["verify", str(partition)])
