@@ -32,7 +32,13 @@ from .raising import (
     simplicity_certificate,
     verify_raise,
 )
-from .weights import fundamental_coords, weight_decomposition, weight_of
+from .weights import (
+    epsilon_string,
+    fundamental_coords,
+    weight_decomposition,
+    weight_of,
+    weight_to_json,
+)
 
 
 class PartitionParam(click.ParamType):
@@ -152,7 +158,7 @@ def patterns(partition, fmt, output):
     pats = enumerate_patterns(partition)
     if fmt == "json":
         doc = [
-            {"pattern": p.to_string(), **weight_of(p).to_json()} for p in pats
+            {"pattern": p.to_string(), **weight_to_json(weight_of(p))} for p in pats
         ]
         emit(dumps(doc), output)
         return
@@ -160,7 +166,7 @@ def patterns(partition, fmt, output):
     for p in pats:
         w = weight_of(p)
         lines.append(
-            "%s  kappa=%s  %s" % (p.to_string(), kappa_str(w.kappa), w.epsilon_string())
+            "%s  kappa=%s  %s" % (p.to_string(), kappa_str(w), epsilon_string(w))
         )
     emit("\n".join(lines), output)
 
@@ -262,15 +268,15 @@ def weights(partition, fmt, output, pattern_text):
         xi = parse_pattern(pattern_text, partition)
         w = weight_of(xi)
         if fmt == "json":
-            emit(dumps({"pattern": xi.to_string(), **w.to_json()}), output)
+            emit(dumps({"pattern": xi.to_string(), **weight_to_json(w)}), output)
         else:
             emit(
                 "%s  kappa=%s  fundamental=%s  %s"
                 % (
                     xi.to_string(),
-                    kappa_str(w.kappa),
+                    kappa_str(w),
                     kappa_str(fundamental_coords(w)),
-                    w.epsilon_string(),
+                    epsilon_string(w),
                 ),
                 output,
             )
@@ -279,7 +285,7 @@ def weights(partition, fmt, output, pattern_text):
     if fmt == "json":
         doc = [
             {
-                **w.to_json(),
+                **weight_to_json(w),
                 "multiplicity": len(pats),
                 "patterns": [p.to_string() for p in pats],
             }
@@ -295,8 +301,8 @@ def weights(partition, fmt, output, pattern_text):
         lines.append(
             "kappa=%s  %s  multiplicity %d: %s"
             % (
-                kappa_str(w.kappa),
-                w.epsilon_string(),
+                kappa_str(w),
+                epsilon_string(w),
                 len(pats),
                 " | ".join(p.compact_str() for p in pats),
             )

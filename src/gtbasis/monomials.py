@@ -19,9 +19,9 @@ from .operators import (
     OperatorMatrix,
     _subtract_into,
 )
-from .patterns import GTPattern, Partition, enumerate_patterns
+from .patterns import GTPattern, Partition, dimension, enumerate_patterns
 from .raising import SCHEDULES, GeneratorWord, UnsupportedScheduleError, sweep_exponents
-from .scalars import RadicalScalar
+from .scalars import RadicalScalar, json_int
 
 
 def resolve_schedule(n: int, schedule) -> tuple[str, list[int]]:
@@ -284,12 +284,25 @@ def family_to_json(family: MonomialFamily, family_rank: int | None = None) -> di
 
 
 def family_from_json(data: dict) -> MonomialFamily:
-    """Rebuild a family from its JSON document (structure only)."""
+    """Rebuild a family from its JSON document (structure only).
+
+    The patterns must be the partition's canonical enumeration, and each
+    ``duplicate_of`` is None or the index of an earlier entry.
+    """
     try:
-        partition, entries = Partition(data["partition"]), data["entries"]
+        partition, entries = Partition.from_json(data["partition"]), data["entries"]
+        schedule = data["schedule"]
+        if not isinstance(schedule, str):
+            raise ValueError("schedule is not a string: %r" % (schedule,))
         patterns = [GTPattern.from_string(item["pattern"], partition) for item in entries]
+        # the length test first: a short document never enumerates a large module
+        if len(patterns) != dimension(partition) or patterns != enumerate_patterns(partition):
+            raise ValueError("patterns are not the enumeration of %s" % (partition,))
         words = [GeneratorWord.from_text(item["word"]) for item in entries]
-        duplicate_of = [item["duplicate_of"] for item in entries]
-        return MonomialFamily(partition, data["schedule"], patterns, words, duplicate_of)
+        dups = [item["duplicate_of"] for item in entries]
+        duplicate_of = [None if d is None else json_int(d) for d in dups]
+        if any(d is not None and not 0 <= d < i for i, d in enumerate(duplicate_of)):
+            raise ValueError("duplicate_of must name an earlier entry")
+        return MonomialFamily(partition, schedule, patterns, words, duplicate_of)
     except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: text not a str
         raise ValueError("malformed family document: %r" % (exc,)) from None

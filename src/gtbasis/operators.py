@@ -4,7 +4,7 @@ The raising generator for row k bumps one entry of row(k) by 1; the
 coefficient attached to bumping position j is a square root of a rational
 built from the shifted entries l[i][r] = row(r)[i] - i.  Lowering uses the
 same formula with l[j][k] replaced by l[j][k] - 1, and diagonal generators
-act by the pattern's weight (``weights.kappa_of``).  Invalid targets are
+act by the pattern's weight (``weights.weight_of``).  Invalid targets are
 skipped before any formula is evaluated; for a valid target the denominator
 is provably nonzero (shifted entries within a row are strictly decreasing)
 and the radicand is positive.
@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .patterns import GTPattern, Partition, enumerate_patterns, highest_pattern
-from .scalars import RadicalScalar, _make, sqrt_rational
-from .weights import kappa_of
+from .patterns import GTPattern, Partition, dimension, enumerate_patterns, highest_pattern
+from .scalars import RadicalScalar, _make, json_int, sqrt_rational
+from .weights import weight_of
 
 
 class InternalConsistencyError(RuntimeError):
@@ -124,7 +124,7 @@ def act_diag(i: int, xi: GTPattern) -> tuple[int, GTPattern]:
     """Diagonal generator: eigenvalue κ_i of ξ's weight."""
     if not 1 <= i <= xi.n:
         raise ValueError("diag index %d out of range for n=%d" % (i, xi.n))
-    return kappa_of(xi)[i - 1], xi
+    return weight_of(xi)[i - 1], xi
 
 
 @dataclass(frozen=True)
@@ -208,10 +208,6 @@ class OperatorMatrix:
     @classmethod
     def zero(cls, dim: int) -> "OperatorMatrix":
         return cls.from_columns([{} for _ in range(dim)])
-
-    @classmethod
-    def identity(cls, dim: int) -> "OperatorMatrix":
-        return cls.from_columns([{c: RadicalScalar.one()} for c in range(dim)])
 
     @property
     def entries(self) -> tuple[tuple[RadicalScalar, ...], ...]:
@@ -327,7 +323,7 @@ class GTModule:
 
     @cached_property
     def weights(self) -> list[tuple[int, ...]]:
-        return [kappa_of(pat) for pat in self.basis]
+        return [weight_of(pat) for pat in self.basis]
 
     @cached_property
     def ladder_fault(self) -> str | None:
@@ -634,8 +630,13 @@ def matrix_to_json(mat: OperatorMatrix) -> dict:
 
 def matrix_from_json(data: dict) -> OperatorMatrix:
     try:
-        rows, dim = data["entries"], data["dim"]
-        meta = (Partition(data["partition"]), data["generator"], data["index"])
+        rows, dim = data["entries"], json_int(data["dim"])
+        partition = Partition.from_json(data["partition"])
+        spec = GeneratorSpec.from_letter(data["generator"], json_int(data["index"]))
+        spec.check_range(partition.n)
+        if dim != dimension(partition):
+            raise ValueError("dim %d is not the dimension of %s" % (dim, partition))
+        meta = (partition, data["generator"], spec.index)
         mat = OperatorMatrix([[RadicalScalar.from_json(x) for x in r] for r in rows], meta)
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed matrix document: %r" % (exc,)) from None

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import json_int
+
 
 class Partition:
     """A weakly decreasing integer vector, normalized so the last part is 0.
@@ -52,6 +54,13 @@ class Partition:
         except ValueError:
             raise ValueError("malformed partition %r" % (text,)) from None
         return cls(parts)
+
+    @classmethod
+    def from_json(cls, data) -> "Partition":
+        """Read a JSON list of parts, each through ``json_int``."""
+        if not isinstance(data, list):  # a string would read digit by digit
+            raise ValueError("partition is not a list: %r" % (data,))
+        return cls(json_int(m) for m in data)
 
     def __str__(self):
         return ",".join(str(m) for m in self.parts)

@@ -55,10 +55,6 @@ class GeneratorWord:
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorWord is immutable")
 
-    @property
-    def total_exponent(self) -> int:
-        return sum(exp for _, exp in self.factors)
-
     def exponents_written(self) -> list[int]:
         return [exp for _, exp in self.factors]
 
@@ -81,7 +77,7 @@ class GeneratorWord:
             try:
                 head, exp = token.split("^")
                 spec = GeneratorSpec.from_letter(head[0], _split_row_pair(head[1:]))
-                factors.append((spec, int(exp)))
+                factors.append((spec, json_int(exp)))
             except (ValueError, IndexError):
                 raise ValueError("malformed word token %r" % (token,)) from None
         return cls(factors)

@@ -24,7 +24,7 @@ from gtbasis.operators import (
 from gtbasis.patterns import Partition, dimension, enumerate_patterns
 from gtbasis.raising import raising_word, verify_raise
 from gtbasis.scalars import RadicalScalar, sqrt_rational
-from gtbasis.weights import fundamental_coords, weight_decomposition, weight_of
+from gtbasis.weights import epsilon_string, fundamental_coords, weight_decomposition, weight_of
 
 from golden_data import (
     CANONICAL_TRIPLES_210,
@@ -155,11 +155,11 @@ def test_criterion_5_weight_table(capsys):
     with criterion(capsys, 5, "weight table for (2,1,0)", 1):
         for compact, (kappa, eps) in WEIGHTS_210.items():
             w = weight_of(pat(P210, compact))
-            assert tuple(w.kappa) == kappa, compact
-            assert w.epsilon_string() == eps, compact
+            assert tuple(w) == kappa, compact
+            assert epsilon_string(w) == eps, compact
         decomposition = weight_decomposition(P210)
         doubles = {
-            w.epsilon_string(): [p.compact_str() for p in pats]
+            epsilon_string(w): [p.compact_str() for p in pats]
             for w, pats in decomposition.items()
             if len(pats) == 2
         }

@@ -30,7 +30,7 @@ from gtbasis.operators import (
 from gtbasis.patterns import GTPattern, Partition, enumerate_patterns
 from gtbasis.raising import GeneratorWord
 from gtbasis.scalars import RadicalScalar
-from gtbasis.weights import weight_of
+from gtbasis.weights import epsilon_string, weight_of
 
 from golden_data import P210, rad
 from test_operators import _corrupting
@@ -83,8 +83,8 @@ def test_patterns_json_matches_library():
     assert [entry["pattern"] for entry in doc] == [p.to_string() for p in pats]
     for entry, p in zip(doc, pats):
         w = weight_of(p)
-        assert entry["kappa"] == list(w.kappa)
-        assert entry["epsilon_string"] == w.epsilon_string()
+        assert entry["kappa"] == list(w)
+        assert entry["epsilon_string"] == epsilon_string(w)
 
 
 # -- matrix ------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_monomial_word_examples():
     assert monomial_word(pat(P210, "2,0;0")).to_text() == "F12^2 F23^1 F12^0"
     beta_word = monomial_word(highest_pattern(P210))
     assert beta_word.to_text() == "F12^0 F23^0 F12^0"
-    assert beta_word.total_exponent == 0
+    assert not any(beta_word.exponents_written())
     # written raising word E12^0 E23^1 E12^1, factor order reversed:
     assert monomial_word(pat(P110, "1,0;0")).to_text() == "F12^1 F23^1 F12^0"
 
@@ -355,9 +355,9 @@ def test_rank_matches_reference_elimination(mat):
 def test_rank_edge_cases():
     zero = OperatorMatrix.zero(4)
     assert rank(zero) == 0
-    ident = OperatorMatrix.identity(5)
-    assert rank(ident) == 5
     one = RadicalScalar.one()
+    ident = OperatorMatrix.from_columns([{c: one} for c in range(5)])
+    assert rank(ident) == 5
     z = RadicalScalar.zero()
     # two proportional columns over the radical field: rank 1.
     s2 = RadicalScalar({2: 1})
@@ -434,8 +434,18 @@ def test_family_json_round_trip():
     no_duplicate_of = [{k: v for k, v in e.items() if k != "duplicate_of"}
                        for e in doc["entries"]]
     text_not_str = [{**e, "pattern": 5} for e in doc["entries"]]
+    entries = doc["entries"]
     for bad in ({}, {**doc, "entries": no_duplicate_of}, {**doc, "entries": ["E12"]},
-                {**doc, "entries": text_not_str}):
+                {**doc, "entries": text_not_str},
+                # patterns other than the enumeration: a prefix, or reordered
+                {**doc, "entries": entries[:3]},
+                {**doc, "entries": [entries[1], entries[0], *entries[2:]]},
+                {**doc, "entries": [{**entries[0], "duplicate_of": "zz"}, *entries[1:]]},
+                {**doc, "entries": [{**entries[0], "word": "F12^0_0"}, *entries[1:]]},
+                {**doc, "entries": [{**entries[0], "duplicate_of": 0}, *entries[1:]]},
+                {**doc, "entries": [*entries[:7], {**entries[7], "duplicate_of": 7}]},
+                {**doc, "schedule": 5}, {**doc, "partition": [2.0, 1, 0]},
+                {**doc, "partition": "210"}):
         with pytest.raises(ValueError):
             family_from_json(bad)
 

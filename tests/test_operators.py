@@ -157,13 +157,13 @@ def test_adjointness_exhaustive():
 def test_weight_shift_of_actions():
     for partition in all_partitions(3, 4):
         for xi in enumerate_patterns(partition):
-            kappa = weight_of(xi).kappa
+            kappa = weight_of(xi)
             for k in (1, 2):
                 for target in act_raise(k, xi):
                     shifted = list(kappa)
                     shifted[k - 1] += 1
                     shifted[k] -= 1
-                    assert list(weight_of(target).kappa) == shifted
+                    assert list(weight_of(target)) == shifted
 
 
 def test_coefficients_square_to_positive_rationals():
@@ -278,7 +278,7 @@ def test_module_of_another_partition_is_refused():
 
 def test_matrix_algebra():
     e = operator_matrix(GeneratorSpec("raise", 1), P210)
-    ident = OperatorMatrix.identity(8)
+    ident = OperatorMatrix.from_columns([{c: RadicalScalar.one()} for c in range(8)])
     zero = OperatorMatrix.zero(8)
     assert e @ ident == e
     assert (e - e) == zero
@@ -317,9 +317,14 @@ def test_matrix_json_round_trip():
     twice = [[[{"radicand": 2, "num": "1", "den": "1"},
                {"radicand": 2, "num": "3", "den": "1"}]] * doc["dim"]] * doc["dim"]
     for bad in ({}, {**doc, "entries": ["E12"]}, {**doc, "dim": 7},
-                {**doc, "entries": zero_den}, {**doc, "entries": twice}):
+                {**doc, "entries": zero_den}, {**doc, "entries": twice},
+                {**doc, "partition": "210"}, {**doc, "partition": [2.5, 1, 0]},
+                {**doc, "partition": [True, False]}, {**doc, "generator": "Q"},
+                {**doc, "index": "7"}, {**doc, "index": 9}, {**doc, "dim": "8.0"},
+                {**doc, "partition": [3, 1, 0]}):
         with pytest.raises(ValueError):
             matrix_from_json(bad)
+    assert matrix_from_json({**doc, "index": "1"}).meta == (P210, "H", 1)
 
 
 def test_matrix_market_format():

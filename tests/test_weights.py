@@ -9,12 +9,14 @@ from gtbasis.operators import GTModule, act_diag
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
 from gtbasis.scalars import RadicalScalar
 from gtbasis.weights import (
-    WeightVector,
+    epsilon_string,
     fundamental_coords,
     fundamental_string,
     highest_weight,
     weight_decomposition,
+    weight_from_json,
     weight_of,
+    weight_to_json,
 )
 
 from golden_data import P110, P210, WEIGHTS_210, all_partitions, pat
@@ -25,51 +27,51 @@ P10 = Partition([1, 0])
 def test_weight_table_full():
     for compact, (kappa, rendering) in WEIGHTS_210.items():
         w = weight_of(pat(P210, compact))
-        assert w.kappa == kappa, compact
-        assert w.epsilon_string() == rendering, compact
+        assert w == kappa, compact
+        assert epsilon_string(w) == rendering, compact
 
 
 def test_weight_of_trivial_module():
     xi = highest_pattern(Partition([0, 0, 0]))
     w = weight_of(xi)
-    assert w.kappa == (0, 0, 0)
-    assert w.epsilon_string() == "0"
+    assert w == (0, 0, 0)
+    assert epsilon_string(w) == "0"
 
 
 def test_epsilon_string_negative_coefficients():
-    assert WeightVector([-1, 2, -3]).epsilon_string() == "-ε_1 + 2ε_2 - 3ε_3"
+    assert epsilon_string((-1, 2, -3)) == "-ε_1 + 2ε_2 - 3ε_3"
 
 
 def test_fundamental_coords_examples():
-    assert fundamental_coords(WeightVector([0, 1, 2])) == [-1, -1]
-    assert fundamental_coords(WeightVector([2, 1, 0])) == [1, 1]
+    assert fundamental_coords((0, 1, 2)) == [-1, -1]
+    assert fundamental_coords((2, 1, 0)) == [1, 1]
     assert fundamental_coords(weight_of(pat(P210, "1,0;0"))) == [-1, -1]
     assert fundamental_coords(highest_weight(P210)) == [1, 1]
 
 
 def test_fundamental_string():
-    assert fundamental_string(WeightVector([0, 1, 2])) == "-ω_1 - ω_2"
-    assert fundamental_string(WeightVector([2, 1, 0])) == "ω_1 + ω_2"
-    assert fundamental_string(WeightVector([1, 1, 1])) == "0"
+    assert fundamental_string((0, 1, 2)) == "-ω_1 - ω_2"
+    assert fundamental_string((2, 1, 0)) == "ω_1 + ω_2"
+    assert fundamental_string((1, 1, 1)) == "0"
 
 
 def test_highest_weight_examples():
-    assert highest_weight(P210).kappa == (2, 1, 0)
-    assert highest_weight(P110).kappa == (1, 1, 0)
-    assert highest_weight(Partition([0, 0, 0])).kappa == (0, 0, 0)
+    assert highest_weight(P210) == (2, 1, 0)
+    assert highest_weight(P110) == (1, 1, 0)
+    assert highest_weight(Partition([0, 0, 0])) == (0, 0, 0)
 
 
 def test_kappa_sums_to_total_content():
     for partition in all_partitions(3, 4):
         total = sum(partition.parts)
         for xi in enumerate_patterns(partition):
-            assert sum(weight_of(xi).kappa) == total
+            assert sum(weight_of(xi)) == total
 
 
 def test_weight_decomposition_210():
     blocks = weight_decomposition(P210)
     assert len(blocks) == 7
-    double = blocks[WeightVector([1, 1, 1])]
+    double = blocks[(1, 1, 1)]
     assert [p.compact_str() for p in double] == ["1,1;1", "2,0;1"]
     assert sum(len(b) for b in blocks.values()) == 8
     for w, pats in blocks.items():
@@ -95,7 +97,7 @@ def test_highest_weight_is_dominant_and_unique():
             if w != top:
                 assert any(
                     a < b
-                    for a, b in zip(w.kappa, top.kappa)
+                    for a, b in zip(w, top)
                 )
 
 
@@ -105,31 +107,25 @@ def test_cartan_trace_zero_via_weights():
         n = partition.n
         for i in range(n - 1):
             assert sum(
-                weight_of(x).kappa[i] - weight_of(x).kappa[i + 1] for x in pats
+                weight_of(x)[i] - weight_of(x)[i + 1] for x in pats
             ) == 0
 
 
 def test_weight_json_round_trip():
     w = weight_of(pat(P210, "1,0;0"))
-    doc = w.to_json()
+    doc = weight_to_json(w)
     assert doc == {
         "kappa": [0, 1, 2],
         "fundamental": [-1, -1],
         "epsilon_string": "ε_2 + 2ε_3",
     }
-    assert WeightVector.from_json(json.loads(json.dumps(doc))) == w
-    assert WeightVector.from_json({"kappa": ["0", "1", "2"]}) == w
+    assert weight_from_json(json.loads(json.dumps(doc))) == w
+    assert weight_from_json({"kappa": ["0", "1", "2"]}) == w
     for bad in ({"kappa": [0, 1, 2], "fundamental": [9, 9]}, {}, [], {"kappa": 5},
                 {"kappa": [0, 1, 2], "fundamental": 3}, {"kappa": [0.5, 1.9]},
                 {"kappa": [0, 1.0, 2]}, {"kappa": [0, True, 2]}, {"kappa": "012"}):
         with pytest.raises(ValueError):
-            WeightVector.from_json(bad)
-
-
-def test_weight_vector_equality_and_hash():
-    assert WeightVector([1, 1, 1]) == WeightVector((1, 1, 1))
-    assert len({WeightVector([1, 1, 1]), WeightVector((1, 1, 1))}) == 1
-    assert WeightVector([1, 1, 1]) != WeightVector([1, 1])
+            weight_from_json(bad)
 
 
 @pytest.mark.parametrize("parts", [(2, 1, 0), (3, 2, 1, 0), (2, 1, 1, 1, 0)])
@@ -142,7 +138,7 @@ def test_module_weights_drive_every_diagonal_generator(parts):
     zero = RadicalScalar.zero()
     for c, xi in enumerate(module.basis):
         kappa = module.weights[c]
-        assert kappa == weight_of(xi).kappa
+        assert kappa == weight_of(xi)
         # κ_i = content(i) − content(i−1), from the rows themselves
         sums = [0] + [sum(row) for row in xi.rows]
         assert kappa == tuple(sums[i] - sums[i - 1] for i in range(1, n + 1))
