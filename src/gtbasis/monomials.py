@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
+from json import dumps
 
 from .operators import (
     GTModule,
@@ -21,36 +22,23 @@ from .operators import (
 )
 from .patterns import GTPattern, Partition, dimension, enumerate_patterns
 from .raising import SCHEDULES, GeneratorWord, UnsupportedScheduleError, sweep_exponents
-from .scalars import RadicalScalar, json_int
+from .scalars import RadicalScalar
 
 
-def resolve_schedule(n: int, schedule) -> tuple[str, list[int]]:
-    """Normalize a schedule descriptor to (name, application row order)."""
-    if isinstance(schedule, str) and schedule in SCHEDULES:
-        return schedule, SCHEDULES[schedule](n)
-    if isinstance(schedule, (list, tuple)):
-        order = [int(r) for r in schedule]
-        if not all(1 <= r <= n - 1 for r in order):
-            raise UnsupportedScheduleError(
-                "custom schedule rows must lie in 1..%d: %r" % (n - 1, order)
-            )
-        return "custom", order
-    raise UnsupportedScheduleError("unknown schedule %r" % (schedule,))
-
-
-def monomial_word(xi: GTPattern, schedule="canonical") -> GeneratorWord:
-    """The lowering monomial for ξ: its raising word mirrored.
-
-    F_r^a per row r of the order, a = ξ's sweep exponent, in application order.
-    """
-    _, order = resolve_schedule(xi.n, schedule)
-    specs = [GeneratorSpec("lower", r) for r in order]
-    return GeneratorWord(zip(specs, sweep_exponents(xi, order)))
+def resolve_schedule(n: int, name: str) -> list[int]:
+    """The application row order of the named schedule at this n."""
+    if isinstance(name, str) and name in SCHEDULES:
+        return SCHEDULES[name](n)
+    raise UnsupportedScheduleError("unknown schedule %r" % (name,))
 
 
 @dataclass
 class MonomialFamily:
-    """One lowering word per pattern, in canonical enumeration order."""
+    """One lowering word per pattern, in canonical enumeration order.
+
+    It is a function of the partition and the schedule name:
+    ``monomial_family`` builds it, and ``family_from_json`` rebuilds it.
+    """
 
     partition: Partition
     schedule: str
@@ -75,7 +63,7 @@ def monomial_family(
 
     ``basis`` is the already enumerated pattern basis, if the caller has it.
     """
-    name, order = resolve_schedule(partition.n, schedule)
+    order = resolve_schedule(partition.n, schedule)
     if basis is None:
         basis = enumerate_patterns(partition)
     specs = [GeneratorSpec("lower", r) for r in order]  # rows in range: resolve_schedule
@@ -84,32 +72,21 @@ def monomial_family(
     first: dict[tuple[int, ...], int] = {}  # one row order: exponents name the word
     duplicate_of = [None if first.setdefault(e, i) == i else first[e]
                     for i, e in enumerate(exps)]
-    return MonomialFamily(partition, name, basis, words, duplicate_of)
+    return MonomialFamily(partition, schedule, basis, words, duplicate_of)
 
 
 Steps = tuple[tuple[str, int], ...]  # unit steps (kind, row), application order
 
 
-def word_steps(word: GeneratorWord) -> Steps:
-    """A word's unit steps in application order, so F^a extends F^(a-1)."""
-    units: list[tuple[str, int]] = []
-    for spec, exp in reversed(word.factors):
-        units += [(spec.kind, spec.index)] * exp
-    return tuple(units)
+def sweep_steps(order: list[int], exponents: list[list[int]]) -> list[Steps]:
+    """Per exponent vector, the unit steps of its lowering monomial along ``order``.
 
-
-def sweep_steps(patterns: list[GTPattern], order: list[int]) -> list[Steps]:
-    """Per pattern, the unit steps of its lowering monomial along ``order``.
-
-    Read straight from ``sweep_exponents``, with no word built: the monomial
-    applies F_r^a for the rows of ``order`` in reverse, so this equals
-    ``word_steps(monomial_word(pat, order))``.
+    The monomial applies F_r^a for the rows of ``order`` in reverse, so each
+    step tuple lists those powers in that order and F^a extends F^(a-1).
     """
     units = [("lower", r) for r in reversed(order)]
-    return [
-        tuple(chain.from_iterable(map(repeat, units, reversed(sweep_exponents(pat, order)))))
-        for pat in patterns
-    ]
+    return [tuple(chain.from_iterable(map(repeat, units, reversed(exps))))
+            for exps in exponents]
 
 
 def walk(steps: list[Steps], start, step) -> list:
@@ -143,13 +120,15 @@ def basis_matrix(
 ) -> OperatorMatrix:
     """Column i = word_i applied to β, over the family's pattern basis.
 
-    The words' steps are applied by ``walk``.  The generator matrices come
-    from ``module`` (one over ``family.patterns`` when none is given), so
-    each is built once.
+    The words' steps, ``sweep_steps`` of their exponents, are applied by
+    ``walk``.  The generator matrices come from ``module`` (one over
+    ``family.patterns`` when none is given), so each is built once.
     """
     module = GTModule.of(family.partition, module, family.patterns)
+    order = resolve_schedule(family.partition.n, family.schedule)
+    steps = sweep_steps(order, [word.exponents_written() for word in family.words])
     return OperatorMatrix.from_columns(walk(
-        [word_steps(word) for word in family.words], {module.beta: RadicalScalar.one()},
+        steps, {module.beta: RadicalScalar.one()},
         lambda unit, v: module.generator(*unit).apply(v)))
 
 
@@ -261,6 +240,14 @@ def rank(mat: OperatorMatrix) -> int:
     return exact
 
 
+def _entries(family: MonomialFamily) -> list[dict]:
+    """The ``entries`` list of the family's JSON document."""
+    return [
+        {"pattern": pat.to_string(), "word": word.to_text(), "duplicate_of": dup}
+        for pat, word, dup in zip(family.patterns, family.words, family.duplicate_of)
+    ]
+
+
 def family_to_json(family: MonomialFamily, family_rank: int | None = None) -> dict:
     """Documented schema with words, duplicate flags, rank, basis verdict."""
     if family_rank is None:
@@ -268,41 +255,30 @@ def family_to_json(family: MonomialFamily, family_rank: int | None = None) -> di
     return {
         "partition": list(family.partition.parts),
         "schedule": family.schedule,
-        "entries": [
-            {
-                "pattern": pat.to_string(),
-                "word": word.to_text(),
-                "duplicate_of": dup,
-            }
-            for pat, word, dup in zip(
-                family.patterns, family.words, family.duplicate_of
-            )
-        ],
+        "entries": _entries(family),
         "rank": family_rank,
         "is_basis": family_rank == len(family.patterns),
     }
 
 
 def family_from_json(data: dict) -> MonomialFamily:
-    """Rebuild a family from its JSON document (structure only).
+    """Read a family's JSON document back by rebuilding the family.
 
-    The patterns must be the partition's canonical enumeration, and each
-    ``duplicate_of`` is None or the index of an earlier entry.
+    The family is ``monomial_family(partition, schedule)``, and the entries
+    must be exactly the ones ``family_to_json`` writes for it.  Their count
+    is tested first, so a short document never enumerates a large module.
     """
     try:
         partition, entries = Partition.from_json(data["partition"]), data["entries"]
-        schedule = data["schedule"]
-        if not isinstance(schedule, str):
-            raise ValueError("schedule is not a string: %r" % (schedule,))
-        patterns = [GTPattern.from_string(item["pattern"], partition) for item in entries]
-        # the length test first: a short document never enumerates a large module
-        if len(patterns) != dimension(partition) or patterns != enumerate_patterns(partition):
-            raise ValueError("patterns are not the enumeration of %s" % (partition,))
-        words = [GeneratorWord.from_text(item["word"]) for item in entries]
-        dups = [item["duplicate_of"] for item in entries]
-        duplicate_of = [None if d is None else json_int(d) for d in dups]
-        if any(d is not None and not 0 <= d < i for i, d in enumerate(duplicate_of)):
-            raise ValueError("duplicate_of must name an earlier entry")
-        return MonomialFamily(partition, schedule, patterns, words, duplicate_of)
-    except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: text not a str
+        if len(entries) != dimension(partition):
+            raise ValueError("%d entries for a module of dimension %d"
+                             % (len(entries), dimension(partition)))
+        family = monomial_family(partition, data["schedule"])
+        # compared as text, so 1.0 or true is not read as the index 1
+        same = dumps(entries, sort_keys=True) == dumps(_entries(family), sort_keys=True)
+    except (KeyError, TypeError) as exc:
         raise ValueError("malformed family document: %r" % (exc,)) from None
+    if not same:
+        raise ValueError("entries are not the %s family of %s"
+                         % (family.schedule, partition))
+    return family

@@ -48,9 +48,9 @@ class Partition:
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
-        """Parse a comma-separated list like "2,1,0"; an empty field is an error."""
+        """Parse "2,1,0", ignoring whitespace; each part is read by ``json_int``."""
         try:
-            parts = [int(tok) for tok in text.replace(" ", "").split(",")]
+            parts = [json_int(tok) for tok in "".join(text.split()).split(",")]
         except ValueError:
             raise ValueError("malformed partition %r" % (text,)) from None
         return cls(parts)
@@ -202,13 +202,14 @@ class GTPattern:
     def from_string(cls, text: str, partition: Partition | None = None) -> "GTPattern":
         """Parse the canonical text form, e.g. "2,1,0;2,1;2".
 
-        Whitespace is ignored.  If a partition is supplied the top row, shifted
-        like the whole triangle so that its last entry is 0, must match it.
+        Whitespace is ignored, and each entry is read through ``json_int``.
+        If a partition is supplied the top row, shifted like the whole
+        triangle so that its last entry is 0, must match it.
         """
         text = "".join(text.split())
         try:
             top_down = [
-                [int(tok) for tok in chunk.split(",")] for chunk in text.split(";")
+                [json_int(tok) for tok in chunk.split(",")] for chunk in text.split(";")
             ]
         except ValueError:
             raise ValueError("malformed pattern text %r" % (text,)) from None

@@ -280,8 +280,8 @@ def simplicity_certificate(
     c·√d, so each entry of F_{k_m}⋯F_{k_1}β is a sum of positive path
     products: sums of positive reals cannot vanish, so the support of a
     column is exactly the set of patterns its word reaches
-    (``monomials.reached_sets`` over the steps of ``monomials.sweep_steps``,
-    no word built), found with sets and no arithmetic.  If
+    (``monomials.reached_sets`` over ``monomials.sweep_steps`` of the sweep
+    exponents, no word built), found with sets and no arithmetic.  If
     column c reaches c and no pattern of lower index, the matrix is
     lower-triangular with a nonzero diagonal: every λ_β is nonzero and the
     rank is the dimension.  A support cannot see a flipped sign, which can
@@ -294,7 +294,8 @@ def simplicity_certificate(
     module = GTModule.of(partition, module)
     _check_ladder(module)
     dim = len(module.basis)
-    steps = monomials.sweep_steps(module.basis, canonical_row_order(partition.n))
+    order = canonical_row_order(partition.n)
+    steps = monomials.sweep_steps(order, [sweep_exponents(p, order) for p in module.basis])
     if module.lowering_positive and all(
         min(reached, default=None) == c
         for c, reached in enumerate(monomials.reached_sets(steps, module))

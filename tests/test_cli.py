@@ -62,6 +62,13 @@ def test_dim_rejects_malformed_partition():
     run(["dim", ""], expect_exit=2)
     for text in ("2,1,,", "2,,1,0", ",2,1,0", "2,1,0,"):
         run(["dim", text], expect_exit=2)
+    # entries that int() would read: one error line each, no traceback
+    for args in (["dim", "2,1,0_0"], ["dim", "+2,1,0"], ["dim", "\u0662,1,0"],
+                 ["weights", "2,1,0", "--pattern", "2,1,0;1,0;0_0"],
+                 ["raise", "2,1,0", "--pattern", "2,1,0;1,0;\u0660"]):
+        res = run(args, expect_exit=2)
+        assert "malformed" in res.stderr and "Traceback" not in res.stderr
+        assert sum(line.startswith("Error:") for line in res.stderr.splitlines()) == 1
 
 
 # -- patterns ----------------------------------------------------------------

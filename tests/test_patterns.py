@@ -42,6 +42,15 @@ def test_partition_rejects_bad_input():
         Partition([1])
     with pytest.raises(ValueError):
         Partition.from_string("2,x,0")
+    # every entry is read through json_int, as the JSON readers do
+    for text in ("2,1,0_0", "+2,1,0", "\u0662,1,0"):
+        with pytest.raises(ValueError):
+            Partition.from_string(text)
+    for text in ("2,1,0;1,0;0_0", "2,1,0;1,0;+0", "2,1,0;1,0;\u0660"):
+        with pytest.raises(ValueError):
+            GTPattern.from_string(text, P210)
+    assert Partition.from_string(" 2, 1 ,\t0\n") == P210
+    assert GTPattern.from_string(" 2, 1,0 ;1 ,0;\t0", P210) == pat(P210, "1,0;0")
 
 
 def test_validate_examples():

@@ -449,11 +449,9 @@ def test_reached_sets_are_the_basis_matrix_supports(parts):
     for schedule in schedules:
         family = monomials.monomial_family(partition, schedule, module.basis)
         mat = monomials.basis_matrix(family, module)
-        steps = [monomials.word_steps(word) for word in family.words]
+        order = monomials.resolve_schedule(partition.n, schedule)
+        steps = monomials.sweep_steps(order, [sweep_exponents(p, order) for p in module.basis])
         assert monomials.reached_sets(steps, module) == [frozenset(col) for col in mat.cols]
-        # the certificate's steps, read from the sweep exponents with no word
-        _, order = monomials.resolve_schedule(partition.n, schedule)
-        assert monomials.sweep_steps(module.basis, order) == steps
 
 
 def test_lowering_positivity_refuses_a_two_term_entry():
