@@ -270,16 +270,9 @@ def weights(partition, fmt, output, pattern_text):
         if fmt == "json":
             emit(dumps({"pattern": xi.to_string(), **weight_to_json(w)}), output)
         else:
-            emit(
-                "%s  kappa=%s  fundamental=%s  %s"
-                % (
-                    xi.to_string(),
-                    kappa_str(w),
-                    kappa_str(fundamental_coords(w)),
-                    epsilon_string(w),
-                ),
-                output,
-            )
+            emit("%s  kappa=%s  fundamental=%s  %s" % (
+                xi.to_string(), kappa_str(w), kappa_str(fundamental_coords(w)),
+                epsilon_string(w)), output)
         return
     decomposition = weight_decomposition(partition)
     if fmt == "json":
@@ -367,8 +360,8 @@ def monomials(partition, schedule, strict, fmt, output):
         emit(dumps(family_to_json(family, family_rank)), output)
     else:
         lines = ["# monomial family for %s, schedule %s" % (partition, schedule)]
-        for pat, word, dup in zip(family.patterns, family.words, family.duplicate_of):
-            line = "%s  %s" % (pat.to_string(), word.to_text())
+        for pat, word, dup in zip(family.patterns, family.word_texts(), family.duplicate_of):
+            line = "%s  %s" % (pat.to_string(), word)
             if dup is not None:
                 line += "  [duplicate of %s]" % family.patterns[dup].to_string()
             lines.append(line)

@@ -34,16 +34,17 @@ def resolve_schedule(n: int, name: str) -> list[int]:
 
 @dataclass
 class MonomialFamily:
-    """One lowering word per pattern, in canonical enumeration order.
+    """One lowering monomial per pattern, in canonical enumeration order.
 
-    It is a function of the partition and the schedule name:
-    ``monomial_family`` builds it, and ``family_from_json`` rebuilds it.
+    ``exponents[i]``, the written exponents of pattern i's monomial, is
+    ``sweep_exponents(patterns[i], order)`` along the schedule's row order.
+    ``monomial_family`` builds the family, and ``family_from_json`` rebuilds it.
     """
 
     partition: Partition
     schedule: str
     patterns: list[GTPattern]
-    words: list[GeneratorWord]
+    exponents: list[tuple[int, ...]]
     duplicate_of: list[int | None]
 
     @property
@@ -54,6 +55,21 @@ class MonomialFamily:
     def duplicates(self) -> list[tuple[int, int]]:
         """(index, first-occurrence index) pairs for repeated words."""
         return [(i, d) for i, d in enumerate(self.duplicate_of) if d is not None]
+
+    def _specs(self) -> list[GeneratorSpec]:
+        order = resolve_schedule(self.partition.n, self.schedule)
+        return [GeneratorSpec("lower", r) for r in order]
+
+    @property
+    def words(self) -> list[GeneratorWord]:
+        """The lowering words, built from the exponents on each call."""
+        specs = self._specs()
+        return [GeneratorWord(zip(specs, e)) for e in self.exponents]
+
+    def word_texts(self) -> list[str]:
+        """Each word's ``GeneratorWord.to_text``, filled into one format string."""
+        fmt = " ".join([spec.label + "^%d" for spec in self._specs()])
+        return [fmt % e for e in self.exponents]
 
 
 def monomial_family(
@@ -66,39 +82,27 @@ def monomial_family(
     order = resolve_schedule(partition.n, schedule)
     if basis is None:
         basis = enumerate_patterns(partition)
-    specs = [GeneratorSpec("lower", r) for r in order]  # rows in range: resolve_schedule
-    exps = [tuple(sweep_exponents(pat, order)) for pat in basis]  # gains: never negative
-    words = [GeneratorWord._trusted(tuple(zip(specs, e))) for e in exps]
+    exps = [tuple(sweep_exponents(pat, order)) for pat in basis]
     first: dict[tuple[int, ...], int] = {}  # one row order: exponents name the word
     duplicate_of = [None if first.setdefault(e, i) == i else first[e]
                     for i, e in enumerate(exps)]
-    return MonomialFamily(partition, schedule, basis, words, duplicate_of)
+    return MonomialFamily(partition, schedule, basis, exps, duplicate_of)
 
 
-Steps = tuple[tuple[str, int], ...]  # unit steps (kind, row), application order
+def walk(order: list[int], exponents: list, start, step) -> list:
+    """Fold the lowering monomial of each exponent vector over ``start``.
 
-
-def sweep_steps(order: list[int], exponents: list[list[int]]) -> list[Steps]:
-    """Per exponent vector, the unit steps of its lowering monomial along ``order``.
-
-    The monomial applies F_r^a for the rows of ``order`` in reverse, so each
-    step tuple lists those powers in that order and F^a extends F^(a-1).
+    The exponents are written along ``order``, so the monomial applies F_r^a
+    for the rows of ``order`` in reverse: its steps are those rows, each
+    repeated a times.  Visiting the step tuples in sorted order, each starts
+    from the longest prefix it shares with the previous one; the stack holds
+    the value after each step of the current tuple, and ``step(r, value)``
+    applies F_r.  Returns one value per exponent vector, in the given order.
     """
-    units = [("lower", r) for r in reversed(order)]
-    return [tuple(chain.from_iterable(map(repeat, units, reversed(exps))))
-            for exps in exponents]
-
-
-def walk(steps: list[Steps], start, step) -> list:
-    """Fold every step tuple over ``start``, sharing prefixes.
-
-    Visiting the tuples in sorted order, each starts from the longest prefix
-    it shares with the previous one; the stack holds the value after each
-    step of the current tuple, and ``step(unit, value)`` gives the next one.
-    Returns one value per tuple, in the given order.
-    """
+    rows = order[::-1]
+    steps = [tuple(chain.from_iterable(map(repeat, rows, reversed(e)))) for e in exponents]
     out: list = [None] * len(steps)
-    path: Steps = ()
+    path: tuple[int, ...] = ()
     stack = [start]
     for i in sorted(range(len(steps)), key=steps.__getitem__):
         word = steps[i]
@@ -108,8 +112,8 @@ def walk(steps: list[Steps], start, step) -> list:
                 break
             shared += 1
         del stack[shared + 1:]
-        for unit in word[shared:]:
-            stack.append(step(unit, stack[-1]))
+        for r in word[shared:]:
+            stack.append(step(r, stack[-1]))
         path = word
         out[i] = stack[-1]
     return out
@@ -120,31 +124,30 @@ def basis_matrix(
 ) -> OperatorMatrix:
     """Column i = word_i applied to β, over the family's pattern basis.
 
-    The words' steps, ``sweep_steps`` of their exponents, are applied by
-    ``walk``.  The generator matrices come from ``module`` (one over
+    ``walk`` applies the exponents along the schedule; no word is built.
+    The generator matrices come from ``module`` (one over
     ``family.patterns`` when none is given), so each is built once.
     """
     module = GTModule.of(family.partition, module, family.patterns)
     order = resolve_schedule(family.partition.n, family.schedule)
-    steps = sweep_steps(order, [word.exponents_written() for word in family.words])
     return OperatorMatrix.from_columns(walk(
-        steps, {module.beta: RadicalScalar.one()},
-        lambda unit, v: module.generator(*unit).apply(v)))
+        order, family.exponents, {module.beta: RadicalScalar.one()},
+        lambda r, v: module.generator("lower", r).apply(v)))
 
 
-def reached_sets(steps: list[Steps], module: GTModule) -> list[frozenset[int]]:
-    """Per step tuple, the basis indices that some path of it reaches from β.
+def reached_sets(order: list[int], exponents: list, module: GTModule) -> list[frozenset]:
+    """Per exponent vector, the basis indices its monomial reaches from β on some path.
 
-    A step sends a set to the union of the row supports of those columns
-    of the step's generator matrix; no scalar is computed.  When
+    A step F_r sends a set to the union of the row supports of those
+    columns of F_r's matrix; no scalar is computed.  When
     ``module.lowering_positive`` holds, each set is exactly the support of
-    the ``basis_matrix`` column of a word with those steps.
+    the ``basis_matrix`` column of the word with those exponents.
     """
-    def reach(unit, reached):
-        cols = module.generator(*unit).cols
+    def reach(r, reached):
+        cols = module.generator("lower", r).cols
         return frozenset().union(*[cols[c] for c in reached])
 
-    return walk(steps, frozenset([module.beta]), reach)
+    return walk(order, exponents, frozenset([module.beta]), reach)
 
 
 def _float_rank(mat: OperatorMatrix) -> int:
@@ -243,8 +246,8 @@ def rank(mat: OperatorMatrix) -> int:
 def _entries(family: MonomialFamily) -> list[dict]:
     """The ``entries`` list of the family's JSON document."""
     return [
-        {"pattern": pat.to_string(), "word": word.to_text(), "duplicate_of": dup}
-        for pat, word, dup in zip(family.patterns, family.words, family.duplicate_of)
+        {"pattern": pat.to_string(), "word": word, "duplicate_of": dup}
+        for pat, word, dup in zip(family.patterns, family.word_texts(), family.duplicate_of)
     ]
 
 

@@ -14,6 +14,7 @@ row(1), row(2), ..., row(n), each row read left to right.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .scalars import json_int
 
@@ -196,7 +197,8 @@ class GTPattern:
 
     def to_string(self) -> str:
         """Canonical text form: rows top-to-bottom, ";"-separated."""
-        return ";".join([",".join(map(str, row)) for row in reversed(self.rows)])
+        rows = self.rows
+        return _text_format(len(rows)) % sum(reversed(rows), ())
 
     @classmethod
     def from_string(cls, text: str, partition: Partition | None = None) -> "GTPattern":
@@ -225,8 +227,7 @@ class GTPattern:
 
     def compact_str(self) -> str:
         """Rows below the top, top-down — e.g. "2,0;1" for n=3 tables."""
-        body = list(reversed(self.rows[:-1]))
-        return ";".join(",".join(str(e) for e in row) for row in body)
+        return _text_format(self.n - 1) % sum(reversed(self.rows[:-1]), ())
 
     def __str__(self):
         return self.to_string()
@@ -246,6 +247,12 @@ class GTPattern:
         if self.rows[-1] != other.rows[-1]:
             raise ValueError("cannot order patterns of different partitions")
         return self.key() < other.key()
+
+
+@cache
+def _text_format(n: int) -> str:
+    """The ``to_string`` format of an n-row pattern: "%d,%d;%d" at n = 2."""
+    return ";".join([",".join(["%d"] * k) for k in range(n, 0, -1)])
 
 
 def compare(a: GTPattern, b: GTPattern) -> int:

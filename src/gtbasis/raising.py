@@ -45,13 +45,6 @@ class GeneratorWord:
                 raise ValueError("row index %d below 1" % spec.index)
         object.__setattr__(self, "factors", factors)
 
-    @classmethod
-    def _trusted(cls, factors: tuple) -> "GeneratorWord":
-        """Wrap (spec, exp) pairs known to pass ``__init__``'s checks, unchecked."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "factors", factors)
-        return out
-
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorWord is immutable")
 
@@ -280,8 +273,8 @@ def simplicity_certificate(
     c·√d, so each entry of F_{k_m}⋯F_{k_1}β is a sum of positive path
     products: sums of positive reals cannot vanish, so the support of a
     column is exactly the set of patterns its word reaches
-    (``monomials.reached_sets`` over ``monomials.sweep_steps`` of the sweep
-    exponents, no word built), found with sets and no arithmetic.  If
+    (``monomials.reached_sets`` of the sweep exponents, no word built),
+    found with sets and no arithmetic.  If
     column c reaches c and no pattern of lower index, the matrix is
     lower-triangular with a nonzero diagonal: every λ_β is nonzero and the
     rank is the dimension.  A support cannot see a flipped sign, which can
@@ -295,10 +288,10 @@ def simplicity_certificate(
     _check_ladder(module)
     dim = len(module.basis)
     order = canonical_row_order(partition.n)
-    steps = monomials.sweep_steps(order, [sweep_exponents(p, order) for p in module.basis])
+    exps = [sweep_exponents(p, order) for p in module.basis]
     if module.lowering_positive and all(
         min(reached, default=None) == c
-        for c, reached in enumerate(monomials.reached_sets(steps, module))
+        for c, reached in enumerate(monomials.reached_sets(order, exps, module))
     ):
         return SimplicityReport(partition, dim, dim, [], dim)
     family = monomials.monomial_family(partition, "canonical", module.basis)

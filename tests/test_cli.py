@@ -294,6 +294,16 @@ def test_monomials_alternate_needs_n_three():
     assert "alternate schedule needs n=3" in res.output
 
 
+def test_monomials_builds_no_word(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the monomials verdict built a GeneratorWord")
+
+    monkeypatch.setattr(GeneratorWord, "__init__", forbidden)
+    for fmt in ("table", "json"):
+        run(["monomials", "3,2,1,0", "--format", fmt])
+        run(["monomials", "8,4,0", "--schedule", "alternate", "--format", fmt])
+
+
 def test_monomials_json():
     res = run(["monomials", "2,1,0", "--schedule", "alternate", "--format", "json"])
     doc = json.loads(res.output)

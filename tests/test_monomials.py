@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtbasis import operators, raising
+from gtbasis import monomials, operators, raising
 from gtbasis.monomials import (
+    MonomialFamily,
     UnsupportedScheduleError,
     _float_rank,
     basis_matrix,
@@ -111,9 +112,10 @@ def test_family_words_are_mirrored_raising_words(parts, schedule):
     order = (raising.alternate_row_order(3) if schedule == "alternate"
              else raising.canonical_row_order(partition.n))
     first = {}
+    words = family.words
     for i, p in enumerate(family.patterns):
         word = raising.raising_word(p, order).mirror()
-        assert family.words[i] == word
+        assert words[i] == word
         j = first.setdefault(word, i)
         assert family.duplicate_of[i] == (None if j == i else j)
 
@@ -161,12 +163,71 @@ def test_basis_matrix_columns_are_word_images():
         ([2, 1, 1, 0], "canonical"),
         ([3, 2, 1, 0], "canonical"),
         ([2, 1, 1, 1, 0], "canonical"),
+        ([2, 1, 0, 0, 0, 0], "canonical"),
         ([3, 1, 0], "alternate"),  # duplicate words
         ([6, 3, 0], "alternate"),
+        ([8, 4, 0], "alternate"),
     ):
         family = monomial_family(Partition(parts), schedule)
         assert basis_matrix(family) == _word_by_word(family), (parts, schedule)
     assert rank(basis_matrix(monomial_family(P110, "canonical"))) == 3
+
+
+def test_basis_matrix_follows_the_stored_exponents():
+    # canonical row order, alternate exponents: the words and the columns
+    # are both read from the one stored form
+    alternate = monomial_family(P210, "alternate")
+    family = MonomialFamily(P210, "canonical", enumerate_patterns(P210),
+                            alternate.exponents, alternate.duplicate_of)
+    assert [tuple(w.exponents_written()) for w in family.words] == alternate.exponents
+    assert family.words != alternate.words
+    assert basis_matrix(family) == _word_by_word(family)
+    assert basis_matrix(family) != basis_matrix(monomial_family(P210, "canonical"))
+
+
+@pytest.mark.parametrize("parts, schedule, steps", [
+    ([12, 6, 0], "canonical", 357),
+    ([5, 3, 2, 0], "canonical", 347),
+    ([3, 2, 1, 0, 0], "canonical", 447),
+    ([3, 2, 1, 0, 0, 0], "canonical", 1804),
+    ([2, 1, 0, 0, 0, 0, 0], "canonical", 211),
+    ([12, 6, 0], "alternate", 177),
+])
+def test_walk_shares_word_prefixes(parts, schedule, steps, monkeypatch):
+    partition = Partition(parts)
+    module = GTModule(partition)
+    family = monomial_family(partition, schedule, module.basis)
+    order = monomials.resolve_schedule(partition.n, schedule)
+    calls = []
+    original = monomials.walk
+
+    def counting(order, exponents, start, step):
+        def counted(r, value):
+            calls.append(r)
+            return step(r, value)
+        return original(order, exponents, start, counted)
+
+    monkeypatch.setattr(monomials, "walk", counting)
+    basis_matrix(family, module)
+    assert len(calls) == steps
+    calls.clear()
+    monomials.reached_sets(order, family.exponents, module)
+    assert len(calls) == steps
+
+
+@pytest.mark.parametrize("parts, schedule", [
+    ([1, 0], "canonical"),
+    ([2, 1, 0], "canonical"),
+    ([12, 6, 0], "canonical"),  # two-digit exponents
+    ([3, 1, 1, 0], "canonical"),
+    ([2, 1, 1, 0, 0], "canonical"),
+    ([2, 1, 0, 0, 0, 0], "canonical"),
+    ([2, 1, 0, 0, 0, 0, 0], "canonical"),
+    ([8, 4, 0], "alternate"),
+])
+def test_word_texts_are_the_words_to_text(parts, schedule):
+    family = monomial_family(Partition(parts), schedule)
+    assert family.word_texts() == [w.to_text() for w in family.words]
 
 
 def test_basis_matrix_refuses_a_module_of_another_partition():
@@ -424,6 +485,7 @@ def test_family_json_round_trip():
     assert doc["entries"][dups[0]["duplicate_of"]]["word"] == dups[0]["word"]
     restored = family_from_json(json.loads(json.dumps(doc)))
     assert restored.partition == family.partition
+    assert restored.exponents == family.exponents
     assert restored.words == family.words
     assert restored.duplicate_of == family.duplicate_of
     no_duplicate_of = [{k: v for k, v in e.items() if k != "duplicate_of"}

@@ -92,6 +92,21 @@ def test_pattern_text_round_trip():
         GTPattern.from_string("2,1,0;2,1;2", P110)
 
 
+def test_to_string_matches_joined_rows():
+    def oracle(p):
+        return ";".join(",".join(map(str, row)) for row in reversed(p.rows))
+
+    odd = GTPattern._trusted(((-12,), (105, -3), (1000, 7, -40)))  # not a pattern
+    assert odd.to_string() == oracle(odd) == "1000,7,-40;105,-3;-12"
+    assert odd.compact_str() == "105,-3;-12"
+    for parts in ([1, 0], [12, 6, 0], [3, 2, 1, 0, 0], [2, 1, 0, 0, 0, 0, 0]):
+        for p in enumerate_patterns(Partition(parts)):
+            text = p.to_string()
+            assert text == oracle(p)
+            assert p.compact_str() == text.partition(";")[2]
+            assert GTPattern.from_string(text) == p
+
+
 def test_pattern_replace():
     xi = pat(P210, "1,0;0")
     raised = xi.replace(1, 1, 1)

@@ -450,8 +450,8 @@ def test_reached_sets_are_the_basis_matrix_supports(parts):
         family = monomials.monomial_family(partition, schedule, module.basis)
         mat = monomials.basis_matrix(family, module)
         order = monomials.resolve_schedule(partition.n, schedule)
-        steps = monomials.sweep_steps(order, [sweep_exponents(p, order) for p in module.basis])
-        assert monomials.reached_sets(steps, module) == [frozenset(col) for col in mat.cols]
+        exps = [sweep_exponents(p, order) for p in module.basis]
+        assert monomials.reached_sets(order, exps, module) == [frozenset(col) for col in mat.cols]
 
 
 def test_lowering_positivity_refuses_a_two_term_entry():
