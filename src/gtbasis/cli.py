@@ -139,6 +139,9 @@ def kappa_str(kappa) -> str:
 @click.group()
 def main():
     """Gelfand-Tsetlin realizations of simple sl_n modules, exactly."""
+    # λ_β and dimensions can run to thousands of digits; print them whole
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command()

@@ -21,15 +21,9 @@ from .operators import (
     _subtract_into,
 )
 from .patterns import GTPattern, Partition, dimension, enumerate_patterns
-from .raising import SCHEDULES, GeneratorWord, UnsupportedScheduleError, sweep_exponents
+from .raising import (GeneratorWord, UnsupportedScheduleError, resolve_schedule,
+                      sweep_exponents, word_format)
 from .scalars import RadicalScalar
-
-
-def resolve_schedule(n: int, name: str) -> list[int]:
-    """The application row order of the named schedule at this n."""
-    if isinstance(name, str) and name in SCHEDULES:
-        return SCHEDULES[name](n)
-    raise UnsupportedScheduleError("unknown schedule %r" % (name,))
 
 
 @dataclass
@@ -67,8 +61,8 @@ class MonomialFamily:
         return [GeneratorWord(zip(specs, e)) for e in self.exponents]
 
     def word_texts(self) -> list[str]:
-        """Each word's ``GeneratorWord.to_text``, filled into one format string."""
-        fmt = " ".join([spec.label + "^%d" for spec in self._specs()])
+        """Each word's ``GeneratorWord.to_text``, one ``word_format`` filled per word."""
+        fmt = word_format(self._specs())
         return [fmt % e for e in self.exponents]
 
 
@@ -251,10 +245,8 @@ def _entries(family: MonomialFamily) -> list[dict]:
     ]
 
 
-def family_to_json(family: MonomialFamily, family_rank: int | None = None) -> dict:
-    """Documented schema with words, duplicate flags, rank, basis verdict."""
-    if family_rank is None:
-        family_rank = rank(basis_matrix(family))
+def family_to_json(family: MonomialFamily, family_rank: int) -> dict:
+    """Documented schema with words, duplicate flags, the given rank, basis verdict."""
     return {
         "partition": list(family.partition.parts),
         "schedule": family.schedule,

@@ -645,22 +645,17 @@ def matrix_from_json(data: dict) -> OperatorMatrix:
     return mat
 
 
-def matrix_market(mat: OperatorMatrix, threshold: float = 1e-12) -> str:
+def matrix_market(mat: OperatorMatrix) -> str:
     """Coordinate-format text of the floating-point image.
 
-    Entries with |value| below the threshold are omitted; the header comment
+    Every stored entry, an exact nonzero, is written; the header comment
     records the partition and generator when available.
     """
     lines = ["%%MatrixMarket matrix coordinate real general"]
     if mat.meta is not None:
         partition, generator, index = mat.meta
         lines.append("%% partition %s generator %s index %d" % (partition, generator, index))
-    coords = []
-    for r, c, v in mat.nonzeros():
-        x = v.to_float()
-        if abs(x) >= threshold:
-            coords.append((r + 1, c + 1, x))
-    coords.sort()
+    coords = sorted((r + 1, c + 1, v.to_float()) for r, c, v in mat.nonzeros())
     lines.append("%d %d %d" % (mat.dim, mat.dim, len(coords)))
     for r, c, x in coords:
         lines.append("%d %d %.16g" % (r, c, x))

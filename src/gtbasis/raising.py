@@ -18,7 +18,7 @@ from .operators import (
     apply_generator,
 )
 from .patterns import GTPattern, Partition, highest_pattern
-from .scalars import RadicalScalar, json_int
+from .scalars import RadicalScalar
 
 
 class CertificationError(RuntimeError):
@@ -56,36 +56,11 @@ class GeneratorWord:
         return GeneratorWord((s.mirror(), exp) for s, exp in reversed(self.factors))
 
     def to_text(self) -> str:
-        if not self.factors:
-            return "(empty)"
-        return " ".join(["%s^%d" % (s.label, exp) for s, exp in self.factors])
-
-    @classmethod
-    def from_text(cls, text: str) -> "GeneratorWord":
-        text = text.strip()
-        if text in ("", "(empty)"):
-            return cls([])
-        factors = []
-        for token in text.split():
-            try:
-                head, exp = token.split("^")
-                spec = GeneratorSpec.from_letter(head[0], _split_row_pair(head[1:]))
-                factors.append((spec, json_int(exp)))
-            except (ValueError, IndexError):
-                raise ValueError("malformed word token %r" % (token,)) from None
-        return cls(factors)
+        return word_format([s for s, _ in self.factors]) % tuple(self.exponents_written())
 
     def to_json(self) -> list[dict]:
         return [{"gen": spec.LETTERS[spec.kind], "row": spec.index, "exp": exp}
                 for spec, exp in self.factors]
-
-    @classmethod
-    def from_json(cls, data: list[dict]) -> "GeneratorWord":
-        try:
-            return cls([(GeneratorSpec.from_letter(item["gen"], json_int(item["row"])),
-                         json_int(item["exp"])) for item in data])
-        except (KeyError, TypeError) as exc:
-            raise ValueError("malformed word document: %r" % (exc,)) from None
 
     def __eq__(self, other):
         return isinstance(other, GeneratorWord) and self.factors == other.factors
@@ -97,13 +72,12 @@ class GeneratorWord:
         return "GeneratorWord(%r)" % (self.to_text(),)
 
 
-def _split_row_pair(digits: str) -> int:
-    """Parse "12" -> 1, "23" -> 2, ... (the digits are k followed by k+1)."""
-    for cut in range(1, len(digits)):
-        k = int(digits[:cut])
-        if str(k) + str(k + 1) == digits:
-            return k
-    raise ValueError("not a row pair: %r" % (digits,))
+def word_format(specs) -> str:
+    """Word text with these factors, to fill with their exponents.
+
+    "E12^%d E23^%d ..." in factor order, or "(empty)" for no factors.
+    """
+    return " ".join([spec.label + "^%d" for spec in specs]) or "(empty)"
 
 
 def canonical_row_order(n: int) -> list[int]:
@@ -123,6 +97,13 @@ def alternate_row_order(n: int) -> list[int]:
 
 # schedule name -> its application row order for a given n
 SCHEDULES = {"canonical": canonical_row_order, "alternate": alternate_row_order}
+
+
+def resolve_schedule(n: int, name: str) -> list[int]:
+    """The application row order of the named schedule at this n."""
+    if isinstance(name, str) and name in SCHEDULES:
+        return SCHEDULES[name](n)
+    raise UnsupportedScheduleError("unknown schedule %r" % (name,))
 
 
 def sweep_exponents(xi: GTPattern, row_order: list[int]) -> list[int]:
@@ -153,13 +134,12 @@ def raising_exponents(xi: GTPattern) -> list[int]:
     return sweep_exponents(xi, canonical_row_order(xi.n))
 
 
-def raising_word(xi: GTPattern, row_order: list[int] | None = None) -> GeneratorWord:
-    """The raising word for ξ (canonical schedule unless told otherwise)."""
-    if row_order is None:
-        row_order = canonical_row_order(xi.n)
-    exps = sweep_exponents(xi, row_order)  # application order; words are written
+def raising_word(xi: GTPattern, schedule="canonical") -> GeneratorWord:
+    """The raising word for ξ along the named schedule."""
+    order = resolve_schedule(xi.n, schedule)
+    exps = sweep_exponents(xi, order)  # application order; words are written
     return GeneratorWord(reversed([(GeneratorSpec("raise", r), e)
-                                   for r, e in zip(row_order, exps)]))
+                                   for r, e in zip(order, exps)]))
 
 
 def apply_word(

@@ -9,6 +9,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -230,6 +231,31 @@ def test_raise_json():
     assert doc["pattern"] == "2,1,0;1,1;1"
     assert doc["exponents"] == [1, 1, 0]
     assert RadicalScalar.from_json(doc["lambda"]) == rad(1, 2, 6)
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Run with the interpreter's default int-string limit, where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_integers_of_any_size_print(default_int_str_limit):
+    lam = math.factorial(1559)  # 4305 digits
+    res = run(["raise", "1559,0", "--pattern", "1559,0;0"])
+    assert res.stdout.splitlines()[-1] == "lambda: %d" % lam
+    res = run(["raise", "1559,0", "--pattern", "1559,0;0", "--format", "json"])
+    assert RadicalScalar.from_json(json.loads(res.stdout)["lambda"]) == rad(lam)
+    m = 10 ** 4000
+    d = (m + 1) * (m + 2) // 2
+    assert run(["dim", "%d,0,0" % m]).stdout == "%d\n" % d
+    res = run(["verify", "%d,0,0" % m], expect_exit=2)
+    assert res.stderr == "dimension %d exceeds --max-dim 5000\n" % d
 
 
 @pytest.mark.parametrize("command, options, unshifted, shifted", [
@@ -543,4 +569,3 @@ def test_parsers_raise_only_value_error(text):
     if rejected(lambda t: GTPattern.from_string(t, P210), text):
         run(["raise", "2,1,0", "--pattern=" + text], expect_exit=2)
     rejected(GTPattern.from_string, text)
-    rejected(GeneratorWord.from_text, text)

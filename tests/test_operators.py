@@ -341,11 +341,12 @@ def test_matrix_market_format():
     assert values[0] == 1.0 and abs(values[-1] - 2 ** 0.5) < 1e-12
 
 
-def test_matrix_market_threshold_drops_tiny_entries():
+def test_matrix_market_writes_tiny_entries():
+    # every stored entry is an exact nonzero, however small its float
     tiny = RadicalScalar({1: Fraction(1, 10 ** 15)})
     entries = [[tiny, RadicalScalar.zero()], [RadicalScalar.zero(), RadicalScalar.one()]]
-    text = matrix_market(OperatorMatrix(entries))
-    assert text.strip().split("\n")[1] == "2 2 1"
+    lines = matrix_market(OperatorMatrix(entries)).strip().split("\n")
+    assert lines[1:] == ["2 2 2", "1 1 1e-15", "2 2 1"]
 
 
 def test_internal_consistency_error_is_runtime_error():

@@ -1,7 +1,5 @@
 """Raising words, exponent sweeps, and the simplicity certificate."""
 
-import json
-
 import pytest
 from click.testing import CliRunner
 
@@ -31,6 +29,7 @@ from gtbasis.raising import (
     simplicity_certificate,
     sweep_exponents,
     verify_raise,
+    word_format,
 )
 from gtbasis.scalars import RadicalScalar, sqrt_rational
 
@@ -86,9 +85,8 @@ def test_canonical_triples_210():
 
 
 def test_alternate_triples_210():
-    order = alternate_row_order(3)
     for compact, triple in ALTERNATE_TRIPLES_210.items():
-        word = raising_word(pat(P210, compact), order)
+        word = raising_word(pat(P210, compact), "alternate")
         assert written_triple(word) == triple, compact
 
 
@@ -99,9 +97,8 @@ def test_canonical_triples_320():
 
 
 def test_alternate_triples_320():
-    order = alternate_row_order(3)
     for compact, triple in ALTERNATE_TRIPLES_320.items():
-        word = raising_word(pat(P320, compact), order)
+        word = raising_word(pat(P320, compact), "alternate")
         assert written_triple(word) == triple, compact
 
 
@@ -114,21 +111,32 @@ def test_word_text_examples():
 
 
 def test_word_text_round_trip():
-    for text in ("E12^0 E23^1 E12^2", "F12^1 F23^2 F12^1", "E12^3"):
-        assert GeneratorWord.from_text(text).to_text() == text
-    assert GeneratorWord.from_text("").factors == ()
-    assert GeneratorWord.from_text("(empty)").factors == ()
     assert GeneratorWord(()).to_text() == "(empty)"
-    # rows 10 and up: the row pair "1011" must split as 10, 11
-    for text in ("E1011^2", "F910^1 F1011^3 E12^0"):
-        assert GeneratorWord.from_text(text).to_text() == text
+    # rows 10 and up: the label names both rows of the pair, "1011"
     word = GeneratorWord([(GeneratorSpec("raise", 10), 2), (GeneratorSpec("lower", 12), 1)])
     assert word.to_text() == "E1011^2 F1213^1"
-    assert GeneratorWord.from_text(word.to_text()) == word
     family = monomials.monomial_family(Partition([2, 1] + [0] * 10))
     assert max(spec.index for w in family.words for spec, _ in w.factors) == 11
-    for w in family.words:
-        assert GeneratorWord.from_text(w.to_text()) == w
+    texts = family.word_texts()
+    assert any("F1011^" in t for t in texts) and any("F1112^" in t for t in texts)
+
+
+def test_word_format_is_the_one_word_text():
+    specs = [GeneratorSpec("raise", 1), GeneratorSpec("lower", 10)]
+    assert word_format(specs) == "E12^%d F1011^%d"
+    assert word_format([]) == "(empty)"
+    assert GeneratorWord(zip(specs, (3, 0))).to_text() == word_format(specs) % (3, 0)
+
+
+def test_raising_word_takes_a_schedule_name_only():
+    p = pat(P210, "2,0;0")
+    assert raising_word(p, "canonical") == raising_word(p)
+    assert raising_word(p, "alternate").exponents_written() == [1, 2, 0]
+    for schedule in ([1, 2, 1], "sideways", None):
+        with pytest.raises(UnsupportedScheduleError):
+            raising_word(p, schedule)
+    assert raising.resolve_schedule(3, "alternate") == alternate_row_order(3)
+    assert monomials.resolve_schedule is raising.resolve_schedule
 
 
 def test_word_json_round_trip():
@@ -139,11 +147,12 @@ def test_word_json_round_trip():
         {"gen": "E", "row": 2, "exp": 2},
         {"gen": "E", "row": 1, "exp": 1},
     ]
-    assert GeneratorWord.from_json(json.loads(json.dumps(doc))) == word
 
 
 def test_word_mirror():
-    word = GeneratorWord.from_text("E12^0 E23^1 E12^2")
+    word = GeneratorWord([(GeneratorSpec("raise", 1), 0), (GeneratorSpec("raise", 2), 1),
+                          (GeneratorSpec("raise", 1), 2)])
+    assert word.to_text() == "E12^0 E23^1 E12^2"
     assert word.mirror().to_text() == "F12^2 F23^1 F12^0"
     assert word.mirror().mirror() == word
 
@@ -251,7 +260,8 @@ def test_five_term_sum_raises_via_minimal_pattern():
 
 def test_two_term_sum_420():
     v = unit_sum(P420, SUM_SUPPORT_420)
-    word = GeneratorWord.from_text(SUM_WORD_420)
+    word = GeneratorWord([(GeneratorSpec("raise", 2), 2), (GeneratorSpec("raise", 1), 1)])
+    assert word.to_text() == SUM_WORD_420
     image = apply_word(word, v)
     assert image == {pat(P420, c): rad(*t) for c, t in SUM_RESULT_420.items()}
 
@@ -302,19 +312,8 @@ def test_word_validation():
         GeneratorWord(((GeneratorSpec("raise", 1), -2),))
     with pytest.raises(ValueError):
         GeneratorWord(((GeneratorSpec("lower", 0), 1),))
-    for text in ("E01^1", "F01^2 E12^1", "H12^1"):
-        with pytest.raises(ValueError):
-            GeneratorWord.from_text(text)
-    for item in ({"gen": "E", "row": 0, "exp": 1}, {"gen": "F", "row": -1, "exp": 1},
-                 {"gen": "H", "row": 1, "exp": 1}, {"gen": "X", "row": 1, "exp": 1},
-                 {"gen": "F", "exp": 1}, "E12", {"gen": "E", "row": 1.5, "exp": 1},
-                 {"gen": "E", "row": 1, "exp": 2.0}, {"gen": "E", "row": 1, "exp": True},
-                 {"gen": "E", "row": "1.0", "exp": 1}):
-        with pytest.raises(ValueError):
-            GeneratorWord.from_json([item])
-    # the letters round-trip through the same table, and mirror swaps E and F
-    word = GeneratorWord.from_json([{"gen": "E", "row": 2, "exp": 1},
-                                    {"gen": "F", "row": 1, "exp": 3}])
+    # the letters come from the same table, and mirror swaps E and F
+    word = GeneratorWord([(GeneratorSpec("raise", 2), 1), (GeneratorSpec("lower", 1), 3)])
     assert word.to_text() == "E23^1 F12^3"
     assert word.mirror().to_json() == [{"gen": "E", "row": 1, "exp": 3},
                                        {"gen": "F", "row": 2, "exp": 1}]
