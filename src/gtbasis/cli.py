@@ -28,10 +28,10 @@ from .raising import (
     SCHEDULES,
     CertificationError,
     UnsupportedScheduleError,
-    raising_word,
+    raise_sum_to_highest,
     simplicity_certificate,
-    verify_raise,
 )
+from .scalars import RadicalScalar
 from .weights import (
     epsilon_string,
     fundamental_coords,
@@ -137,10 +137,14 @@ def kappa_str(kappa) -> str:
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Gelfand-Tsetlin realizations of simple sl_n modules, exactly."""
-    # λ_β and dimensions can run to thousands of digits; print them whole
+    # λ_β and dimensions can run to thousands of digits; print them whole,
+    # and give an in-process caller its own limit back when the command ends
     if hasattr(sys, "set_int_max_str_digits"):
+        ctx.call_on_close(functools.partial(sys.set_int_max_str_digits,
+                                            sys.get_int_max_str_digits()))
         sys.set_int_max_str_digits(0)
 
 
@@ -181,10 +185,13 @@ def matrix_table(mat: OperatorMatrix, module: GTModule) -> str:
         "# basis (rows below top): %s"
         % " | ".join(p.compact_str() for p in module.basis),
     ]
-    cells = [[str(v) for v in row] for row in mat.entries]
-    widths = [max(len(cells[r][c]) for r in range(mat.dim)) for c in range(mat.dim)]
-    for row in cells:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    texts = [{r: str(v) for r, v in col.items()} for col in mat.cols]
+    zeros = ["0".rjust(max(map(len, ["0", *col.values()]))) for col in texts]
+    for r, row in enumerate(mat.transpose().cols):
+        cells = zeros.copy()
+        for c in row:
+            cells[c] = texts[c][r].rjust(len(zeros[c]))
+        lines.append("  ".join(cells))
     return "\n".join(lines)
 
 
@@ -315,12 +322,13 @@ def weights(partition, fmt, output, pattern_text):
 def raise_cmd(partition, pattern_text, fmt, output):
     """Raise a pattern to the highest pattern and report λ_β."""
     xi = parse_pattern(pattern_text, partition)
-    word = raising_word(xi)
+    outcome = raise_sum_to_highest({xi: RadicalScalar.one()})
     try:
-        lam = verify_raise(xi)
+        lam = outcome.certified_lambda()
     except CertificationError as exc:
         click.echo("raise %s: FAIL (%s)" % (xi.to_string(), exc), file=sys.stderr)
         sys.exit(1)
+    word = outcome.word
     exponents = "(%s)" % ",".join(str(e) for e in word.exponents_written())
     if fmt == "json":
         doc = {

@@ -124,7 +124,7 @@ def basis_matrix(
     """
     module = GTModule.of(family.partition, module, family.patterns)
     order = resolve_schedule(family.partition.n, family.schedule)
-    return OperatorMatrix.from_columns(walk(
+    return OperatorMatrix(walk(
         order, family.exponents, {module.beta: RadicalScalar.one()},
         lambda r, v: module.generator("lower", r).apply(v)))
 

@@ -169,35 +169,17 @@ class GeneratorSpec:
 class OperatorMatrix:
     """Square matrix of RadicalScalars over the canonical pattern basis.
 
-    Stored by column: ``cols[c]`` maps row index to value for the nonzero
-    entries of column c, the image of the c-th pattern in ascending
-    enumeration order.  ``entries`` is a dense view built on demand.
-    ``meta`` optionally remembers (partition, generator label, index) for
-    serialization.
+    The one constructor takes the columns: ``cols[c]`` maps row index to
+    value for the nonzero entries of column c, the image of the c-th pattern
+    in ascending enumeration order.  ``meta`` optionally remembers
+    (partition, generator label, index) for serialization.  Only tests and
+    the benchmark's tracer read the dense views ``entries`` and
+    ``to_float_array``.
     """
 
     __slots__ = ("dim", "cols", "meta")
 
-    def __init__(self, entries, meta=None):
-        rows = [tuple(row) for row in entries]
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square")
-        self._set(
-            [
-                {r: row[c] for r, row in enumerate(rows) if not row[c].is_zero()}
-                for c in range(len(rows))
-            ],
-            meta,
-        )
-
-    @classmethod
-    def from_columns(cls, cols, meta=None) -> "OperatorMatrix":
-        """Build from {row: value} column dicts that hold only nonzero values."""
-        mat = cls.__new__(cls)
-        mat._set(cols, meta)
-        return mat
-
-    def _set(self, cols, meta):
+    def __init__(self, cols, meta=None):
         object.__setattr__(self, "dim", len(cols))
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "meta", meta)
@@ -207,11 +189,11 @@ class OperatorMatrix:
 
     @classmethod
     def zero(cls, dim: int) -> "OperatorMatrix":
-        return cls.from_columns([{} for _ in range(dim)])
+        return cls([{} for _ in range(dim)])
 
     @property
     def entries(self) -> tuple[tuple[RadicalScalar, ...], ...]:
-        """Dense rows, zeros included."""
+        """Dense rows, zeros included; read only by tests and the tracer."""
         z = RadicalScalar.zero()
         rows = [[z] * self.dim for _ in range(self.dim)]
         for r, c, v in self.nonzeros():
@@ -241,17 +223,17 @@ class OperatorMatrix:
         cols: list[dict[int, RadicalScalar]] = [{} for _ in self.cols]
         for r, c, v in self.nonzeros():
             cols[r][c] = v
-        return OperatorMatrix.from_columns(cols)
+        return OperatorMatrix(cols)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_dims(self, other)
-        return OperatorMatrix.from_columns(
+        return OperatorMatrix(
             [_subtract_into(dict(a), b) for a, b in zip(self.cols, other.cols)]
         )
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_dims(self, other)
-        return OperatorMatrix.from_columns([self.apply(b) for b in other.cols])
+        return OperatorMatrix([self.apply(b) for b in other.cols])
 
     def apply(self, vec: dict[int, RadicalScalar]) -> dict[int, RadicalScalar]:
         """Image of the sparse vector {index: value}: a combination of columns.
@@ -267,7 +249,7 @@ class OperatorMatrix:
         return {r: v for r, v in out.items() if not v.is_zero()}
 
     def to_float_array(self):
-        """Entries as a nested list of floats (numpy-friendly)."""
+        """Entries as a nested list of floats; read only by tests and the tracer."""
         rows = [[0.0] * self.dim for _ in range(self.dim)]
         for r, c, v in self.nonzeros():
             rows[r][c] = v.to_float()
@@ -430,7 +412,7 @@ def operator_matrix(
         scalars = {ev: _make({1: Fraction(ev)}) for ev in set(evs) if ev}
         cols = [{c: scalars[ev]} if ev else {} for c, ev in enumerate(evs)]
     meta = (partition, spec.LETTERS[spec.kind], spec.index)
-    return OperatorMatrix.from_columns(cols, meta=meta)
+    return OperatorMatrix(cols, meta=meta)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -473,7 +455,7 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
                 else:
                     out[r] = acc - prod
         cols.append({r: v for r, v in out.items() if v.terms})
-    return OperatorMatrix.from_columns(cols)
+    return OperatorMatrix(cols)
 
 
 Pair = tuple[int, int]
@@ -619,12 +601,16 @@ def matrix_to_json(mat: OperatorMatrix) -> dict:
     if mat.meta is None:
         raise ValueError("matrix has no generator metadata to serialize")
     partition, generator, index = mat.meta
+    zeros = [RadicalScalar.zero().to_json()] * mat.dim  # one [] for every zero cell
+    rows = [zeros.copy() for _ in range(mat.dim)]
+    for r, c, v in mat.nonzeros():
+        rows[r][c] = v.to_json()
     return {
         "partition": list(partition.parts),
         "generator": generator,
         "index": index,
         "dim": mat.dim,
-        "entries": [[v.to_json() for v in row] for row in mat.entries],
+        "entries": rows,
     }
 
 
@@ -636,13 +622,16 @@ def matrix_from_json(data: dict) -> OperatorMatrix:
         spec.check_range(partition.n)
         if dim != dimension(partition):
             raise ValueError("dim %d is not the dimension of %s" % (dim, partition))
-        meta = (partition, data["generator"], spec.index)
-        mat = OperatorMatrix([[RadicalScalar.from_json(x) for x in r] for r in rows], meta)
+        if len(rows) != dim or any(len(row) != dim for row in rows):
+            raise ValueError("entries are not a %d x %d grid" % (dim, dim))
+        cols: list[dict[int, RadicalScalar]] = [{} for _ in range(dim)]
+        for r, row in enumerate(rows):
+            for c, v in enumerate(map(RadicalScalar.from_json, row)):
+                if v.terms:
+                    cols[c][r] = v
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed matrix document: %r" % (exc,)) from None
-    if mat.dim != dim:
-        raise ValueError("dim field %r does not match entries" % (dim,))
-    return mat
+    return OperatorMatrix(cols, (partition, data["generator"], spec.index))
 
 
 def matrix_market(mat: OperatorMatrix) -> str:

@@ -167,6 +167,16 @@ class RaiseOutcome:
     def __bool__(self):
         return self.ok
 
+    def certified_lambda(self) -> RadicalScalar:
+        """λ_β; CertificationError unless the image is a nonzero multiple of β alone."""
+        xi = self.minimal.to_string()
+        if self.residual:
+            raise CertificationError("raising %s leaves support on %s"
+                                     % (xi, sorted(p.to_string() for p in self.residual)))
+        if self.lambda_beta.is_zero():
+            raise CertificationError("raising %s annihilated it" % (xi,))
+        return self.lambda_beta
+
 
 def raise_sum_to_highest(v: dict[GTPattern, RadicalScalar]) -> RaiseOutcome:
     """Raise a nonzero sum {pattern: nonzero value} by its minimal pattern's word.
@@ -192,15 +202,7 @@ def verify_raise(xi: GTPattern) -> RadicalScalar:
     Raises CertificationError unless the image is a nonzero multiple of the
     highest pattern alone.
     """
-    outcome = raise_sum_to_highest({xi: RadicalScalar.one()})
-    if outcome.residual:
-        raise CertificationError(
-            "raising %s leaves support on %s"
-            % (xi.to_string(), sorted(p.to_string() for p in outcome.residual))
-        )
-    if outcome.lambda_beta.is_zero():
-        raise CertificationError("raising %s annihilated it" % (xi.to_string(),))
-    return outcome.lambda_beta
+    return raise_sum_to_highest({xi: RadicalScalar.one()}).certified_lambda()
 
 
 @dataclass

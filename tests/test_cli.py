@@ -116,6 +116,36 @@ def test_matrix_json_round_trip():
         assert mat.entries == operator_matrix(GeneratorSpec(kind, index), P210).entries
 
 
+def _dense_matrix_output(partition, spec, fmt):
+    """``matrix`` output formatted from the dense grid of ``entries``, cell by cell."""
+    mat, letter = operator_matrix(spec, partition), spec.LETTERS[spec.kind]
+    if fmt == "json":
+        doc = {"partition": list(partition.parts), "generator": letter,
+               "index": spec.index, "dim": mat.dim,
+               "entries": [[v.to_json() for v in row] for row in mat.entries]}
+        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    cells = [[str(v) for v in row] for row in mat.entries]
+    widths = [max(len(row[c]) for row in cells) for c in range(mat.dim)]
+    lines = ["# %s index %d on %s, dim %d" % (letter, spec.index, partition, mat.dim),
+             "# basis (rows below top): %s"
+             % " | ".join(p.compact_str() for p in enumerate_patterns(partition))]
+    lines += ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("parts", ["2,1,0", "3,2,1,0", "2,1,1,0"])
+def test_matrix_output_matches_the_dense_grid(parts):
+    partition = Partition.from_string(parts)
+    n = partition.n
+    for kind, letter in GeneratorSpec.LETTERS.items():
+        for index in range(1, (n if kind == "diag" else n - 1) + 1):
+            spec = GeneratorSpec(kind, index)
+            for fmt in ("table", "json"):
+                res = run(["matrix", parts, letter, str(index), "--format", fmt])
+                want = _dense_matrix_output(partition, spec, fmt)
+                assert res.output == want, (parts, letter, index, fmt)
+
+
 def test_matrix_matrixmarket_format():
     res = run(["matrix", "2,1,0", "E", "1", "--format", "matrixmarket"])
     lines = res.output.splitlines()
@@ -235,27 +265,55 @@ def test_raise_json():
 
 @pytest.fixture
 def default_int_str_limit():
-    """Run with the interpreter's default int-string limit, where it has one."""
+    """Run with the interpreter's default int-string limit, where it has one.
+
+    The CLI lifts the limit for a command only: after the test, and after a
+    run that exits 0 and one that exits 1, the limit is the default again.
+    """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield
-    sys.set_int_max_str_digits(old)
+    limit = sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+        assert sys.get_int_max_str_digits() == limit
+        run(["raise", "1559,0", "--pattern", "1559,0;0"])
+        assert sys.get_int_max_str_digits() == limit
+        run(["monomials", "2,1,0", "--schedule", "alternate", "--strict"], expect_exit=1)
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Lift the int-string limit for the test's own conversions of big ints."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_integers_of_any_size_print(default_int_str_limit):
-    lam = math.factorial(1559)  # 4305 digits
-    res = run(["raise", "1559,0", "--pattern", "1559,0;0"])
-    assert res.stdout.splitlines()[-1] == "lambda: %d" % lam
-    res = run(["raise", "1559,0", "--pattern", "1559,0;0", "--format", "json"])
-    assert RadicalScalar.from_json(json.loads(res.stdout)["lambda"]) == rad(lam)
     m = 10 ** 4000
-    d = (m + 1) * (m + 2) // 2
-    assert run(["dim", "%d,0,0" % m]).stdout == "%d\n" % d
-    res = run(["verify", "%d,0,0" % m], expect_exit=2)
-    assert res.stderr == "dimension %d exceeds --max-dim 5000\n" % d
+    table = run(["raise", "1559,0", "--pattern", "1559,0;0"]).stdout
+    doc = json.loads(run(["raise", "1559,0", "--pattern", "1559,0;0", "--format", "json"]).stdout)
+    dim_text = run(["dim", "%d,0,0" % m]).stdout
+    refusal = run(["verify", "%d,0,0" % m], expect_exit=2).stderr
+    with _no_int_str_limit():
+        lam = math.factorial(1559)  # 4305 digits
+        d = (m + 1) * (m + 2) // 2
+        assert table.splitlines()[-1] == "lambda: %d" % lam
+        assert RadicalScalar.from_json(doc["lambda"]) == rad(lam)
+        assert dim_text == "%d\n" % d
+        assert refusal == "dimension %d exceeds --max-dim 5000\n" % d
 
 
 @pytest.mark.parametrize("command, options, unshifted, shifted", [

@@ -379,9 +379,8 @@ def _counting_basis_matrix(monkeypatch):
 def _dropping_pattern_2(e, f):
     """Remove every F_k entry into pattern 2 and its E_k transpose."""
     return (
-        OperatorMatrix.from_columns([{} if c == 2 else col for c, col in enumerate(e.cols)]),
-        OperatorMatrix.from_columns([{r: v for r, v in col.items() if r != 2}
-                                     for col in f.cols]),
+        OperatorMatrix([{} if c == 2 else col for c, col in enumerate(e.cols)]),
+        OperatorMatrix([{r: v for r, v in col.items() if r != 2} for col in f.cols]),
     )
 
 
@@ -410,7 +409,7 @@ def _negating_one_entry(e, f):
     c = next(c for c, col in enumerate(cols) if col)
     r = min(cols[c])
     cols[c][r] = -cols[c][r]
-    e = OperatorMatrix.from_columns(cols)
+    e = OperatorMatrix(cols)
     return e, _transpose(e)
 
 
@@ -504,7 +503,7 @@ def _transpose(mat):
     cols = [{} for _ in range(mat.dim)]
     for r, c, v in mat.nonzeros():
         cols[r][c] = v
-    return OperatorMatrix.from_columns(cols)
+    return OperatorMatrix(cols)
 
 
 def test_ladder_invariants_hold_on_unmodified_modules():
@@ -522,7 +521,7 @@ def test_certificate_rejects_a_corrupted_lowering_matrix(monkeypatch):
         c = next(c for c, col in enumerate(cols) if col)
         r = min(cols[c])
         cols[c][r] = -cols[c][r]
-        return e, OperatorMatrix.from_columns(cols)
+        return e, OperatorMatrix(cols)
 
     _corrupting(monkeypatch, changed_f)
     for partition in LADDER:
@@ -536,7 +535,7 @@ def test_certificate_rejects_a_misweighted_raising_matrix(monkeypatch):
         cols = [dict(col) for col in e.cols]
         c = next(c for c, col in enumerate(cols) if col)
         cols[c][c] = cols[c].pop(min(cols[c]))
-        e = OperatorMatrix.from_columns(cols)
+        e = OperatorMatrix(cols)
         return e, _transpose(e)
 
     _corrupting(monkeypatch, misweighted)
