@@ -475,6 +475,19 @@ def test_cancellation_stores_no_zeros():
     assert all(not v.is_zero() for _, _, v in h.nonzeros())
 
 
+def test_dense_and_column_constructors_agree():
+    # the dense view and the columns it is read from describe one matrix
+    for spec in (GeneratorSpec("raise", 2), GeneratorSpec("cartan", 1)):
+        mat = operator_matrix(spec, P210)
+        grid = mat.entries
+        cols = [{r: row[c] for r, row in enumerate(grid) if not row[c].is_zero()}
+                for c in range(mat.dim)]
+        assert OperatorMatrix(cols) == mat
+        assert OperatorMatrix(mat.cols) == mat
+    one, z = RadicalScalar.one(), RadicalScalar.zero()
+    assert OperatorMatrix([{}, {0: one}]).entries == ((z, one), (z, z))
+
+
 SPARSE_VALUES = [
     RadicalScalar.one(),
     RadicalScalar({2: 1}),
