@@ -27,7 +27,6 @@ from .patterns import GTPattern, Partition, PatternShapeError, dimension, enumer
 from .raising import (
     SCHEDULES,
     CertificationError,
-    UnsupportedScheduleError,
     raise_sum_to_highest,
     simplicity_certificate,
 )
@@ -360,10 +359,7 @@ def raise_cmd(partition, pattern_text, fmt, output):
 @max_dim_option
 def monomials(partition, schedule, strict, fmt, output):
     """Build the lowering-monomial family for PARTITION and rank it."""
-    try:
-        family = monomial_family(partition, schedule)
-    except UnsupportedScheduleError as exc:
-        raise click.UsageError(str(exc))
+    family = monomial_family(partition, schedule)
     family_rank = rank(basis_matrix(family))
     d = len(family.patterns)
     is_basis = family_rank == d

@@ -626,9 +626,9 @@ def matrix_from_json(data: dict) -> OperatorMatrix:
             raise ValueError("entries are not a %d x %d grid" % (dim, dim))
         cols: list[dict[int, RadicalScalar]] = [{} for _ in range(dim)]
         for r, row in enumerate(rows):
-            for c, v in enumerate(map(RadicalScalar.from_json, row)):
-                if v.terms:
-                    cols[c][r] = v
+            for c, cell in enumerate(row):
+                if cell != []:  # [] is zero; from_json reads any other cell as nonzero
+                    cols[c][r] = RadicalScalar.from_json(cell)
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed matrix document: %r" % (exc,)) from None
     return OperatorMatrix(cols, (partition, data["generator"], spec.index))

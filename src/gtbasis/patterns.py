@@ -19,6 +19,15 @@ from functools import cache
 from .scalars import json_int
 
 
+def _int_entries(values) -> tuple[int, ...]:
+    """The values as a tuple; like ``json_int``, a float, str or bool is a ValueError."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise ValueError("not an integer: %r" % (x,))
+    return values
+
+
 class Partition:
     """A weakly decreasing integer vector, normalized so the last part is 0.
 
@@ -29,7 +38,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(m) for m in parts)
+        parts = _int_entries(parts)
         if len(parts) < 2:
             raise ValueError("need at least two parts, got %r" % (parts,))
         for a, b in zip(parts, parts[1:]):
@@ -87,7 +96,7 @@ def validate(rows, partition: Partition) -> list[str]:
     a human-readable string naming the offending row/position.
     """
     n = partition.n
-    rows = [tuple(int(e) for e in row) for row in rows]
+    rows = [_int_entries(row) for row in rows]
     if len(rows) != n or any(len(row) != k for k, row in enumerate(rows, start=1)):
         raise PatternShapeError(
             "expected rows of sizes 1..%d, got sizes %r" % (n, [len(r) for r in rows])
@@ -118,7 +127,7 @@ class GTPattern:
     __slots__ = ("rows",)
 
     def __init__(self, rows, partition: Partition | None = None):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(_int_entries(row) for row in rows)
         if not rows:
             raise PatternShapeError("a pattern needs at least one row")
         if partition is None:

@@ -26,7 +26,7 @@ class CertificationError(RuntimeError):
 
 
 class UnsupportedScheduleError(ValueError):
-    """Asked for a sweep schedule that does not exist for this n."""
+    """Asked for an unknown sweep schedule."""
 
 
 class GeneratorWord:
@@ -89,10 +89,8 @@ def canonical_row_order(n: int) -> list[int]:
 
 
 def alternate_row_order(n: int) -> list[int]:
-    """The n=3 variant that starts each pass on row 2: [2, 1, 2]."""
-    if n != 3:
-        raise UnsupportedScheduleError("alternate schedule needs n=3, got n=%d" % n)
-    return [2, 1, 2]
+    """The canonical order under r -> n - r: each pass starts on the top row."""
+    return [n - r for r in canonical_row_order(n)]
 
 
 # schedule name -> its application row order for a given n
@@ -127,11 +125,6 @@ def sweep_exponents(xi: GTPattern, row_order: list[int]) -> list[int]:
                 row[j] = ceiling
         exps.append(gained)
     return exps
-
-
-def raising_exponents(xi: GTPattern) -> list[int]:
-    """The canonical exponent vector a(ξ), application order, length n(n-1)/2."""
-    return sweep_exponents(xi, canonical_row_order(xi.n))
 
 
 def raising_word(xi: GTPattern, schedule="canonical") -> GeneratorWord:

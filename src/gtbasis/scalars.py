@@ -304,6 +304,8 @@ class RadicalScalar:
         that is not an int or an integer string (``json_int``) and a
         coefficient that is zero or not num/den in lowest terms with den > 0.
         """
+        if not isinstance(data, list):  # {} or "" would read as zero
+            raise ValueError("scalar is not a list: %r" % (data,))
         try:
             items = [(json_int(item["radicand"]), json_int(item["num"]), json_int(item["den"]))
                      for item in data]

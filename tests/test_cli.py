@@ -373,9 +373,12 @@ def test_monomials_strict_exit_codes():
     run(["monomials", "2,1,0", "--schedule", "alternate", "--strict"], expect_exit=1)
 
 
-def test_monomials_alternate_needs_n_three():
-    res = run(["monomials", "2,1,1,0", "--schedule", "alternate"], expect_exit=2)
-    assert "alternate schedule needs n=3" in res.output
+def test_monomials_alternate_at_n_four():
+    res = run(["monomials", "2,1,1,0", "--schedule", "alternate"])
+    lines = res.output.splitlines()
+    assert lines[0] == "# monomial family for 2,1,1,0, schedule alternate"
+    assert lines[-1] == "NOT A BASIS (rank 14 < dim 15; 1 duplicate word)"
+    run(["monomials", "2,1,1,0", "--schedule", "alternate", "--strict"], expect_exit=1)
 
 
 def test_monomials_builds_no_word(monkeypatch):

@@ -25,7 +25,7 @@ from gtbasis.operators import (
     OperatorMatrix,
 )
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
-from gtbasis.raising import apply_word
+from gtbasis.raising import apply_word, sweep_exponents
 from gtbasis.scalars import RadicalScalar
 from gtbasis.weights import weight_decomposition, weight_of
 
@@ -104,7 +104,8 @@ ALTERNATE_POOL = [(6, 3, 0), (7, 3, 0), (8, 4, 0), (9, 3, 0), (9, 4, 0), (10, 5,
 
 @pytest.mark.parametrize(
     "parts, schedule",
-    [(parts, "alternate") for parts in ALTERNATE_POOL] + [((3, 2, 1, 0, 0), "canonical")],
+    [(parts, "alternate") for parts in ALTERNATE_POOL] + [((3, 2, 1, 0, 0), "canonical")]
+    + [((3, 2, 1, 0), "alternate"), ((3, 2, 1, 0, 0), "alternate")],
 )
 def test_family_words_are_mirrored_raising_words(parts, schedule):
     partition = Partition(parts)
@@ -118,11 +119,50 @@ def test_family_words_are_mirrored_raising_words(parts, schedule):
         assert family.duplicate_of[i] == (None if j == i else j)
 
 
-def test_alternate_schedule_rejected_for_other_n():
-    with pytest.raises(UnsupportedScheduleError):
-        monomial_family(Partition([1, 1, 1, 0]), "alternate")
-    with pytest.raises(UnsupportedScheduleError):
-        monomial_family(Partition([1, 0]), "alternate")
+def test_alternate_schedule_at_other_n():
+    # n = 4: rows [3, 2, 1, 3, 2, 3]; the smallest module with a repeated word
+    family = monomial_family(Partition([2, 1, 1, 0]), "alternate")
+    assert family.duplicates == [(7, 6)]
+    assert rank(basis_matrix(family)) == family.distinct_count == 14
+    family = monomial_family(Partition([3, 2, 1, 0]), "alternate")
+    assert len(family.patterns) == 64
+    assert rank(basis_matrix(family)) == family.distinct_count == 42
+    # n = 2: the alternate order is the canonical [1]
+    family = monomial_family(Partition([3, 0]), "alternate")
+    assert family.exponents == monomial_family(Partition([3, 0])).exponents
+    assert rank(basis_matrix(family)) == 4
+
+
+def _reduced_words_of_w0(n):
+    """Every reduced word of the longest element of S_n, in application order.
+
+    A word is reduced when each simple transposition s_r adds an inversion,
+    that is when the entries at positions r and r + 1 are still increasing.
+    """
+    words = [((), tuple(range(n)))]
+    for _ in range(n * (n - 1) // 2):
+        words = [(word + (r,), perm[:r - 1] + (perm[r], perm[r - 1]) + perm[r + 1:])
+                 for word, perm in words for r in range(1, n) if perm[r - 1] < perm[r]]
+    return [list(word) for word, _ in words]
+
+
+@pytest.mark.parametrize("parts", [(2, 1, 0, 0), (3, 2, 1, 0), (4, 2, 1, 0)])
+def test_only_the_canonical_commutation_class_gives_a_basis(parts):
+    """Sweep along every reduced word of w0 at n = 4: the rank is always the
+    number of distinct words, and the family is a basis exactly for the
+    canonical word and the one that commutes its rows 3 and 1."""
+    words = _reduced_words_of_w0(4)
+    assert len(words) == 16 and [1, 2, 3, 1, 2, 1] in words
+    module = GTModule(Partition(parts))
+    bases = []
+    for order in words:
+        exps = [tuple(sweep_exponents(p, order)) for p in module.basis]
+        cols = monomials.walk(order, exps, {module.beta: RadicalScalar.one()},
+                              lambda r, v: module.generator("lower", r).apply(v))
+        assert rank(OperatorMatrix(cols)) == len(set(exps)), order
+        if len(set(exps)) == len(module.basis):
+            bases.append(order)
+    assert sorted(bases) == [[1, 2, 1, 3, 2, 1], [1, 2, 3, 1, 2, 1]]
 
 
 def test_custom_schedule():
@@ -516,3 +556,9 @@ def test_family_json_round_trip():
     canonical = monomial_family(P210, "canonical")
     canonical_doc = family_to_json(canonical, rank(basis_matrix(canonical)))
     assert canonical_doc["rank"] == 8 and canonical_doc["is_basis"] is True
+
+    n_four = monomial_family(Partition([3, 2, 1, 0]), "alternate")
+    restored = family_from_json(json.loads(json.dumps(family_to_json(n_four, 42))))
+    assert restored.exponents == n_four.exponents
+    assert restored.duplicate_of == n_four.duplicate_of
+    assert len(restored.duplicates) == 22

@@ -316,7 +316,10 @@ def test_matrix_json_round_trip():
     zero_den = [[[{"radicand": 1, "num": 1, "den": 0}]] * doc["dim"]] * doc["dim"]
     twice = [[[{"radicand": 2, "num": "1", "den": "1"},
                {"radicand": 2, "num": "3", "den": "1"}]] * doc["dim"]] * doc["dim"]
-    for bad in ({}, {**doc, "entries": ["E12"]}, {**doc, "dim": 7},
+    # a cell other than [] is read as a scalar: one such cell spoils the grid
+    bad_cells = [{**doc, "entries": [[cell, *doc["entries"][0][1:]], *doc["entries"][1:]]}
+                 for cell in (0, {}, "", [{}])]
+    for bad in (*bad_cells, {}, {**doc, "entries": ["E12"]}, {**doc, "dim": 7},
                 {**doc, "entries": zero_den}, {**doc, "entries": twice},
                 {**doc, "partition": "210"}, {**doc, "partition": [2.5, 1, 0]},
                 {**doc, "partition": [True, False]}, {**doc, "generator": "Q"},

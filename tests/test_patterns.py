@@ -53,6 +53,19 @@ def test_partition_rejects_bad_input():
     assert GTPattern.from_string(" 2, 1,0 ;1 ,0;\t0", P210) == pat(P210, "1,0;0")
 
 
+def test_constructors_take_only_ints():
+    # int() would truncate 2.7 to 2 and read "3" as 3; each is refused instead
+    for parts in ([2.7, 1, 0], ["3", "1", "0"], [2.0, 1, 0], [True, False]):
+        with pytest.raises(ValueError, match="not an integer"):
+            Partition(parts)
+    for rows in ([[1.9], [2, 0.5]], [[1], ["2", 0]], [[True], [1, 0]]):
+        with pytest.raises(ValueError, match="not an integer"):
+            GTPattern(rows)
+        with pytest.raises(ValueError, match="not an integer"):
+            validate(rows, Partition([2, 0]))
+    assert GTPattern([[1], [2, 0]]).to_string() == "2,0;1"
+
+
 def test_validate_examples():
     assert validate([[2], [2, 1], [2, 1, 0]], P210) == []
     violations = validate([[2], [1, 0], [1, 1, 0]], P110)

@@ -24,7 +24,6 @@ from gtbasis.raising import (
     canonical_row_order,
     _check_ladder,
     raise_sum_to_highest,
-    raising_exponents,
     raising_word,
     simplicity_certificate,
     sweep_exponents,
@@ -71,9 +70,11 @@ def test_canonical_row_order_shape():
     assert canonical_row_order(2) == [1]
     assert canonical_row_order(3) == [1, 2, 1]
     assert canonical_row_order(4) == [1, 2, 3, 1, 2, 1]
+    assert alternate_row_order(2) == [1]
     assert alternate_row_order(3) == [2, 1, 2]
-    with pytest.raises(UnsupportedScheduleError, match="needs n=3, got n=4"):
-        alternate_row_order(4)
+    assert alternate_row_order(4) == [3, 2, 1, 3, 2, 3]
+    for n in range(2, 7):  # the canonical order under r -> n - r
+        assert alternate_row_order(n) == [n - r for r in canonical_row_order(n)]
     assert monomials.UnsupportedScheduleError is UnsupportedScheduleError
     assert gtbasis.UnsupportedScheduleError is UnsupportedScheduleError
 
@@ -165,7 +166,7 @@ def test_sweep_exponent_totals_match_content_deficit():
                 beta.content(k) - xi.content(k) for k in range(1, n)
             )
             for xi in enumerate_patterns(partition):
-                exps = raising_exponents(xi)
+                exps = sweep_exponents(xi, canonical_row_order(xi.n))
                 assert len(exps) == n * (n - 1) // 2
                 assert sum(exps) == deficit_total(xi)
 
@@ -174,7 +175,7 @@ def test_exponents_zero_iff_highest():
     for partition in (P110, P210, P320, Partition([2, 1, 1, 0])):
         beta = highest_pattern(partition)
         for xi in enumerate_patterns(partition):
-            exps = raising_exponents(xi)
+            exps = sweep_exponents(xi, canonical_row_order(xi.n))
             assert (sum(exps) == 0) == (xi == beta)
 
 
@@ -443,8 +444,7 @@ def test_intact_certificate_builds_no_basis_matrix(monkeypatch):
 def test_reached_sets_are_the_basis_matrix_supports(parts):
     partition = Partition(parts)
     module = GTModule(partition)
-    schedules = ["canonical", "alternate"] if partition.n == 3 else ["canonical"]
-    for schedule in schedules:
+    for schedule in ("canonical", "alternate"):
         family = monomials.monomial_family(partition, schedule, module.basis)
         mat = monomials.basis_matrix(family, module)
         order = monomials.resolve_schedule(partition.n, schedule)

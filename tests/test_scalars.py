@@ -154,6 +154,8 @@ def test_json_round_trip():
     one = {"radicand": 2, "num": "1", "den": "1"}
     for bad in ([one, {**one, "num": "3"}], [{"radicand": 2}], [{**one, "den": "0"}],
                 [1], 5, [{**one, "num": "x"}],
+                # not a list, though {} and "" iterate like the empty list
+                {}, "", one,
                 # 8 = 2²·2 is not squarefree: to_json never writes it
                 [one, {**one, "radicand": 8}], [{**one, "radicand": 8}],
                 [{**one, "radicand": 0}],
