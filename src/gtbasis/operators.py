@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd
 
 from .patterns import GTPattern, Partition, dimension, enumerate_patterns, highest_pattern
-from .scalars import RadicalScalar, _make, json_int, sqrt_rational
+from .scalars import RadicalScalar, _make, _sqrt_ratio, json_int
 from .weights import weight_of
 
 
@@ -82,7 +82,7 @@ def _act(rows, k: int, step: int, roots: dict, shifts: dict) -> list:
         key = (num // g, den // g)
         root = roots.get(key)
         if root is None:
-            root = roots[key] = sqrt_rational(Fraction(*key))
+            root = roots[key] = _sqrt_ratio(*key)
         out.append((row[:j - 1] + (value,) + row[j:], root))
     return out
 
@@ -346,7 +346,7 @@ class GTModule:
         """
         entries = {id(v): v for k in range(1, self.partition.n)
                    for col in self.generator("lower", k).cols for v in col.values()}
-        return all(len(v.terms) == 1 and next(iter(v.terms.values())).numerator > 0
+        return all(len(v.terms) == 1 and next(iter(v.terms.values())) > 0
                    for v in entries.values())
 
     @classmethod
@@ -409,7 +409,7 @@ def operator_matrix(
     else:  # H_k: κ_k; cartan k: κ_k − κ_{k+1}
         cartan = spec.kind == "cartan"
         evs = [w[k - 1] - (w[k] if cartan else 0) for w in module.weights]
-        scalars = {ev: _make({1: Fraction(ev)}) for ev in set(evs) if ev}
+        scalars = {ev: _make({1: ev}, 1) for ev in set(evs) if ev}
         cols = [{c: scalars[ev]} if ev else {} for c, ev in enumerate(evs)]
     meta = (partition, spec.LETTERS[spec.kind], spec.index)
     return OperatorMatrix(cols, meta=meta)
@@ -422,7 +422,7 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     the two entries' ids, A's first in both halves since the product
     commutes, computes each distinct pair once; the ids stay valid because
     both matrices hold their entries for the whole call.  A subtracted
-    product that is the accumulated value itself, or has equal terms,
+    product that is the accumulated value itself, or equal to it,
     removes the entry without a subtraction; zeros are dropped.
     """
     _check_dims(a, b)
@@ -450,7 +450,7 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
                 acc = out.get(r)
                 if acc is None:
                     out[r] = -prod
-                elif acc is prod or acc.terms == prod.terms:
+                elif acc is prod or acc == prod:
                     del out[r]
                 else:
                     out[r] = acc - prod
@@ -505,7 +505,7 @@ def _first_difference(a: OperatorMatrix, b: OperatorMatrix) -> str:
 
 def _is_diagonal(mat: OperatorMatrix, values: list[int]) -> bool:
     """Whether mat is exactly diag(values), each entry compared with its int."""
-    return all(len(col) == 1 and c in col and col[c].terms == {1: v} if v else not col
+    return all(len(col) == 1 and c in col and col[c] == _make({1: v}, 1) if v else not col
                for c, (col, v) in enumerate(zip(mat.cols, values)))
 
 

@@ -170,13 +170,13 @@ class GTPattern:
 
         Only the interleaving inequalities that involve entry (k, i) can
         change, so only those are checked; the top row is the partition and
-        stays fixed.
+        stays fixed.  A value that is not an int is a ValueError.
         """
         rows = self.rows
         if not (1 <= k <= len(rows) and 1 <= i <= k):
             raise IndexError("no entry (%d, %d) in a pattern with %d rows"
                              % (k, i, len(rows)))
-        value = int(value)
+        (value,) = _int_entries((value,))
         row = rows[k - 1]
         if k == len(rows):
             return self if value == row[i - 1] else None

@@ -8,15 +8,16 @@ products of such.  They all live in the field of finite sums
 
 with rational c_i and distinct squarefree positive integers d_i.  Since
 square roots of distinct squarefree integers are linearly independent over
-the rationals, the map {d -> c_d} is a canonical form and equality is just
-dict comparison.
+the rationals, the map {d -> c_d} is a canonical form.  It is kept on plain
+ints, c_d = n_d / D over one common denominator D ≥ 1 with gcd(D, every n_d)
+= 1, so equality compares ints and the arithmetic builds no Fraction.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt, lcm, sqrt
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -67,7 +68,7 @@ def is_squarefree(n: int) -> bool:
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError("expected an int or Fraction, got %r" % (x,))
 
@@ -86,19 +87,23 @@ def json_int(x) -> int:
 
 
 class RadicalScalar:
-    """An element sum(c_d * sqrt(d)) in canonical form.
+    """An element sum(n_d * sqrt(d)) / den in canonical form.
 
-    ``terms`` maps squarefree radicand d to its nonzero rational
-    coefficient; the rational part sits at d = 1.  Instances are immutable
-    and hashable.
+    ``terms`` maps squarefree radicand d to its nonzero int numerator n_d;
+    the rational part sits at d = 1.  ``den`` ≥ 1 is the one common
+    denominator, with gcd(den, every n_d) = 1; zero is ({}, 1).  The
+    constructor takes {d: Fraction or int}, and ``coefficients`` gives that
+    form back.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
         clean: dict[int, Fraction] = {}
         if terms:
             for d, c in terms.items():
+                if type(d) is not int:
+                    raise TypeError("radicand must be an int, got %r" % (d,))
                 c = _as_fraction(c)
                 if c == 0:
                     continue
@@ -106,7 +111,9 @@ class RadicalScalar:
                 clean[df] = clean.get(df, Fraction(0)) + c * s
                 if clean[df] == 0:
                     del clean[df]
-        object.__setattr__(self, "terms", clean)
+        terms, den = _over_common_den(clean)
+        _set_terms(self, terms)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RadicalScalar is immutable")
@@ -135,86 +142,62 @@ class RadicalScalar:
 
     @property
     def rational_part(self) -> Fraction:
-        return self.terms.get(1, Fraction(0))
+        return Fraction(self.terms.get(1, 0), self.den)
+
+    def coefficients(self) -> dict[int, Fraction]:
+        """{d: c_d}, each c_d = n_d / den a nonzero Fraction."""
+        return {d: Fraction(n, self.den) for d, n in self.terms.items()}
 
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other: "RadicalScalar") -> "RadicalScalar":
         if not isinstance(other, RadicalScalar):
             return NotImplemented
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            acc = out.get(d)
-            if acc is None:
-                out[d] = c
-            else:
-                acc += c
-                if acc:
-                    out[d] = acc
-                else:
-                    del out[d]
-        return _make(out)
+        return _sum(self, other, 1)
 
     def __neg__(self) -> "RadicalScalar":
-        return _make({d: -c for d, c in self.terms.items()})
+        return _make({d: -n for d, n in self.terms.items()}, self.den)
 
     def __sub__(self, other: "RadicalScalar") -> "RadicalScalar":
         if not isinstance(other, RadicalScalar):
             return NotImplemented
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            acc = out.get(d)
-            if acc is None:
-                out[d] = -c
-            else:
-                acc -= c
-                if acc:
-                    out[d] = acc
-                else:
-                    del out[d]
-        return _make(out)
+        return _sum(self, other, -1)
 
     def __mul__(self, other: "RadicalScalar") -> "RadicalScalar":
         if not isinstance(other, RadicalScalar):
             return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
-            return _make({})
+            return _make({}, 1)
         # sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2) with g = gcd(d1, d2), and
         # d1*d2/g^2 is squarefree again.
+        den = self.den * other.den
         if len(a) == 1 and len(b) == 1:
-            # c1*c2*g as one Fraction: a single normalization
-            ((d1, c1),) = a.items()
-            ((d2, c2),) = b.items()
+            ((d1, n1),) = a.items()
+            ((d2, n2),) = b.items()
             g = gcd(d1, d2)
-            return _make({
-                (d1 // g) * (d2 // g): Fraction(
-                    c1.numerator * c2.numerator * g, c1.denominator * c2.denominator
-                )
-            })
-        out: dict[int, Fraction] = {}
-        for d1, c1 in a.items():
-            for d2, c2 in b.items():
+            n = n1 * n2 * g
+            h = gcd(n, den)
+            return _make({(d1 // g) * (d2 // g): n // h}, den // h)
+        out: dict[int, int] = {}
+        for d1, n1 in a.items():
+            for d2, n2 in b.items():
                 g = gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
-                c = c1 * c2 * g
-                acc = out.get(d)
-                if acc is None:
-                    out[d] = c
+                acc = out.get(d, 0) + n1 * n2 * g
+                if acc:
+                    out[d] = acc
                 else:
-                    acc += c
-                    if acc:
-                        out[d] = acc
-                    else:
-                        del out[d]
-        return _make(out)
+                    del out[d]
+        return _reduced(out, den)
 
     def scale(self, r) -> "RadicalScalar":
         """Multiply by a plain rational (cheaper than a full mul)."""
         r = _as_fraction(r)
         if r == 0:
-            return _make({})
-        return _make({d: c * r for d, c in self.terms.items()})
+            return _make({}, 1)
+        return _reduced({d: n * r.numerator for d, n in self.terms.items()},
+                        self.den * r.denominator)
 
     # -- field structure ---------------------------------------------------
 
@@ -234,13 +217,12 @@ class RadicalScalar:
         den = self
         while not den.is_rational():
             p = _some_radicand_prime(den)
-            conj_terms = {
-                d: (-c if d % p == 0 else c) for d, c in den.terms.items()
-            }
-            conj = _make(conj_terms)
+            conj = _make({d: -n if d % p == 0 else n for d, n in den.terms.items()}, den.den)
             num = num * conj
             den = den * conj
-        return num.scale(1 / den.rational_part)
+        n, q = den.terms[1], den.den  # den is the rational n / q ≠ 0
+        q = q if n > 0 else -q
+        return _reduced({d: m * q for d, m in num.terms.items()}, num.den * abs(n))
 
     def __truediv__(self, other: "RadicalScalar") -> "RadicalScalar":
         if not isinstance(other, RadicalScalar):
@@ -252,28 +234,28 @@ class RadicalScalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadicalScalar):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     # -- conversions ---------------------------------------------------------
 
     def to_float(self) -> float:
         # int / int is correctly rounded, as float(Fraction) is, without its
         # method calls; sum(), not +=, since Python 3.12's sum compensates
-        return sum(c.numerator / c.denominator * sqrt(d) for d, c in self.terms.items())
+        den = self.den
+        return sum(n / den * sqrt(d) for d, n in self.terms.items())
 
     def __float__(self) -> float:
         return self.to_float()
 
     def __repr__(self):
-        return "RadicalScalar(%s)" % (self.terms,)
+        return "RadicalScalar(%s)" % (self.coefficients(),)
 
     def __str__(self):
         parts = []
-        for d in sorted(self.terms):
-            c = self.terms[d]
+        for d, c in sorted(self.coefficients().items()):
             if d == 1:
                 text = str(c)
             else:
@@ -288,12 +270,8 @@ class RadicalScalar:
     def to_json(self) -> list[dict]:
         """Sorted [{radicand, num, den}] with big integers as strings."""
         return [
-            {
-                "radicand": d,
-                "num": str(self.terms[d].numerator),
-                "den": str(self.terms[d].denominator),
-            }
-            for d in sorted(self.terms)
+            {"radicand": d, "num": str(c.numerator), "den": str(c.denominator)}
+            for d, c in sorted(self.coefficients().items())
         ]
 
     @classmethod
@@ -320,18 +298,55 @@ class RadicalScalar:
             terms[d] = Fraction(num, den)
         if len(terms) != len(items):
             raise ValueError("repeated radicand in %r" % (data,))
-        return _make(terms)
+        return _make(*_over_common_den(terms))
 
 
-# The slot's own setter: RadicalScalar.__setattr__ refuses every assignment.
-_set_terms = RadicalScalar.terms.__set__
+# The slots' own setters: RadicalScalar.__setattr__ refuses every assignment.
+_set_terms, _set_den = RadicalScalar.terms.__set__, RadicalScalar.den.__set__
 
 
-def _make(terms: dict[int, Fraction]) -> RadicalScalar:
-    """Wrap a dict that is already canonical: squarefree keys, nonzero Fractions."""
+def _make(terms: dict[int, int], den: int) -> RadicalScalar:
+    """Wrap a canonical pair: squarefree keys, nonzero ints, den coprime to them."""
     res = RadicalScalar.__new__(RadicalScalar)
     _set_terms(res, terms)
+    _set_den(res, den)
     return res
+
+
+def _reduced(terms: dict[int, int], den: int) -> RadicalScalar:
+    """Wrap nonzero ints over den ≥ 1, dividing out their gcd with den ({} gets den 1)."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {d: n // g for d, n in terms.items()}
+            den //= g
+    return _make(terms, den)
+
+
+def _over_common_den(coeffs: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Reduced Fractions as ints over the lcm of their denominators, with gcd 1:
+    each prime's full power in the lcm is in a denominator, prime to its numerator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {d: c.numerator * (den // c.denominator) for d, c in coeffs.items()}, den
+
+
+def _sum(x: RadicalScalar, y: RadicalScalar, sign: int) -> RadicalScalar:
+    """x + sign*y, over x's den when the dens agree, else over their lcm."""
+    den, fy = x.den, sign
+    if den == y.den:
+        out = dict(x.terms)
+    else:
+        g = gcd(den, y.den)
+        fx, fy = y.den // g, sign * (den // g)
+        out = {d: n * fx for d, n in x.terms.items()}
+        den *= fx
+    for d, n in y.terms.items():
+        acc = out.get(d, 0) + n * fy
+        if acc:
+            out[d] = acc
+        else:
+            del out[d]
+    return _reduced(out, den)
 
 
 def multiple_text(k: int, symbol: str) -> str:
@@ -373,8 +388,12 @@ def sqrt_rational(r) -> RadicalScalar:
     r = _as_fraction(r)
     if r < 0:
         raise ValueError("sqrt_rational of a negative rational: %s" % (r,))
-    if r == 0:
-        return RadicalScalar()
-    p, q = r.numerator, r.denominator
+    return _sqrt_ratio(r.numerator, r.denominator)
+
+
+def _sqrt_ratio(p: int, q: int) -> RadicalScalar:
+    """sqrt(p/q) for coprime ints p ≥ 0 and q ≥ 1, as ``sqrt_rational``."""
+    if p == 0:
+        return _make({}, 1)
     s, d = squarefree_decompose(p * q)
-    return _make({d: Fraction(s, q)})
+    return _reduced({d: s}, q)

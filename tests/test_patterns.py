@@ -126,6 +126,10 @@ def test_pattern_replace():
     assert raised == pat(P210, "1,0;1")
     assert xi.replace(1, 1, -1) is None
     assert xi.replace(2, 1, 2) == pat(P210, "2,0;0")
+    # int() would truncate 0.9 to 0 and read True as 1; each is refused instead
+    for value in (0.9, 1.0, True, False, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            xi.replace(1, 1, value)
 
 
 def _replace_reference(xi, k, i, value):

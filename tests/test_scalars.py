@@ -109,8 +109,19 @@ def test_to_float_is_the_exact_float_sum_bit_for_bit():
         cases.append(RadicalScalar(terms))
     assert any(len(x.terms) == 1 for x in cases) and any(len(x.terms) > 2 for x in cases)
     for x in cases:
-        want = sum(float(c) * math.sqrt(d) for d, c in x.terms.items())
+        want = sum(float(c) * math.sqrt(d) for d, c in x.coefficients().items())
         assert x.to_float() == want and float(x) == want, x
+
+
+def test_constructor_takes_int_radicands_and_no_bools():
+    # a float radicand went into to_json as 2.0, which from_json refuses; a
+    # bool read as the int it subclasses
+    for bad in ({2.0: 1}, {"2": 1}, {Fraction(2): 1}, {True: 3}, {2: True}, {2: False},
+                {2: 1.5}):
+        with pytest.raises(TypeError):
+            RadicalScalar(bad)
+    with pytest.raises(TypeError):
+        RadicalScalar.from_rational(True)
 
 
 def test_canonicalization_collapses_radicands():
@@ -294,8 +305,11 @@ def reference_terms(signed_products):
 
 
 def assert_canonical(x):
-    for d, c in x.terms.items():
-        assert type(c) is Fraction and c != 0
+    """Nonzero int numerators on squarefree keys over one den ≥ 1 prime to them."""
+    assert type(x.den) is int and x.den >= 1
+    assert math.gcd(x.den, *x.terms.values()) == 1
+    for d, n in x.terms.items():
+        assert type(d) is int and type(n) is int and n != 0
         assert squarefree_decompose(d) == (1, d)
 
 
@@ -305,17 +319,18 @@ def assert_canonical(x):
     st.one_of(one_term_strategy, scalar_strategy),
 )
 def test_kernels_match_reference(a, b):
-    ta = [(c, d, 1, 1) for d, c in a.terms.items()]
-    tb = [(c, d, 1, 1) for d, c in b.terms.items()]
-    neg_b = [(-c, d, 1, 1) for d, c in b.terms.items()]
-    prod = [(c1, d1, c2, d2) for d1, c1 in a.terms.items() for d2, c2 in b.terms.items()]
+    ca, cb = a.coefficients(), b.coefficients()
+    ta = [(c, d, 1, 1) for d, c in ca.items()]
+    tb = [(c, d, 1, 1) for d, c in cb.items()]
+    neg_b = [(-c, d, 1, 1) for d, c in cb.items()]
+    prod = [(c1, d1, c2, d2) for d1, c1 in ca.items() for d2, c2 in cb.items()]
     for got, want in (
         (a * b, reference_terms(prod)),
         (a + b, reference_terms(ta + tb)),
         (a - b, reference_terms(ta + neg_b)),
         (-b, reference_terms(neg_b)),
     ):
-        assert got.terms == want
+        assert got.coefficients() == want
         assert_canonical(got)
 
 
@@ -326,3 +341,28 @@ def test_sqrt_round_trip_hypothesis(r):
     assert root * root == RadicalScalar.from_rational(r)
     assert abs(root.to_float() - math.sqrt(float(r))) < 1e-9
     assert_canonical(root)
+
+
+big_scalar_strategy = st.builds(
+    RadicalScalar,
+    st.dictionaries(
+        st.integers(min_value=1, max_value=500),
+        st.builds(Fraction, st.integers(min_value=-10**30, max_value=10**30),
+                  st.integers(min_value=1, max_value=10**12)),
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_scalar_strategy, big_scalar_strategy, big_scalar_strategy,
+       st.fractions(max_denominator=10**9))
+def test_results_stay_canonical_hypothesis(a, b, c, r):
+    left, right = (a + b) * c, a * c + b * c
+    assert left == right and hash(left) == hash(right)
+    results = [a, b, c, a + b, a - b, a * b, -a, a.scale(r), left, right]
+    if not a.is_zero():
+        results.append(a.invert())
+    for x in results:
+        assert_canonical(x)
+        assert RadicalScalar.from_json(json.loads(json.dumps(x.to_json()))) == x
