@@ -38,7 +38,6 @@ from .patterns import (
     GTPattern,
     Partition,
     PatternShapeError,
-    compare,
     dimension,
     enumerate_patterns,
     highest_pattern,
@@ -93,7 +92,6 @@ __all__ = [
     "basis_matrix",
     "canonical_row_order",
     "commutator",
-    "compare",
     "dimension",
     "enumerate_patterns",
     "epsilon_string",

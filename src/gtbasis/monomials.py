@@ -23,7 +23,7 @@ from .operators import (
 from .patterns import GTPattern, Partition, dimension, enumerate_patterns
 from .raising import (GeneratorWord, UnsupportedScheduleError, resolve_schedule,
                       sweep_exponents, word_format)
-from .scalars import RadicalScalar
+from .scalars import RadicalScalar, json_int
 
 
 @dataclass
@@ -262,18 +262,24 @@ def family_from_json(data: dict) -> MonomialFamily:
     The family is ``monomial_family(partition, schedule)``, and the entries
     must be exactly the ones ``family_to_json`` writes for it.  Their count
     is tested first, so a short document never enumerates a large module.
+    The rank, not recomputed, must be a ``json_int`` from 0 to the distinct
+    word count (repeats repeat a column), and ``is_basis`` the bool rank == dim.
     """
     try:
         partition, entries = Partition.from_json(data["partition"]), data["entries"]
-        if len(entries) != dimension(partition):
-            raise ValueError("%d entries for a module of dimension %d"
-                             % (len(entries), dimension(partition)))
+        dim, family_rank = dimension(partition), json_int(data["rank"])
+        if len(entries) != dim:
+            raise ValueError("%d entries for a module of dimension %d" % (len(entries), dim))
         family = monomial_family(partition, data["schedule"])
         # compared as text, so 1.0 or true is not read as the index 1
         same = dumps(entries, sort_keys=True) == dumps(_entries(family), sort_keys=True)
+        is_basis = data["is_basis"]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed family document: %r" % (exc,)) from None
     if not same:
         raise ValueError("entries are not the %s family of %s"
                          % (family.schedule, partition))
+    if not 0 <= family_rank <= family.distinct_count or is_basis is not (family_rank == dim):
+        raise ValueError("rank %d and is_basis %r do not fit the %s family of %s"
+                         % (family_rank, is_basis, family.schedule, partition))
     return family

@@ -12,12 +12,13 @@ and the radicand is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .patterns import GTPattern, Partition, dimension, enumerate_patterns, highest_pattern
+from .patterns import (GTPattern, Partition, _int_entries, dimension, enumerate_patterns,
+                       highest_pattern)
 from .scalars import RadicalScalar, _make, _sqrt_ratio, json_int
 from .weights import weight_of
 
@@ -33,10 +34,10 @@ def _act(rows, k: int, step: int, roots: dict, shifts: dict) -> list:
     (``rows[k-2:k+1]``; no row k−1 when k = 1) are read, so every pattern
     with those three rows gets the same pairs; the caller puts each new row
     k in place of the pattern's own.  A target is skipped unless it passes
-    the interleaving tests of ``GTPattern.replace``.  The lowering
-    coefficient is the raising one with l_jk replaced by l_jk - 1, so one
-    formula serves both; its radicand num/den is kept as plain ints in
-    lowest terms, and ``roots`` memoizes each square root by that
+    the tests of ``patterns.validate`` that involve entry (k, j).  The
+    lowering coefficient is the raising one with l_jk replaced by l_jk - 1,
+    so one formula serves both; its radicand num/den is kept as plain ints
+    in lowest terms, and ``roots`` memoizes each square root by that
     (num, den), so equal coefficients share one object.  ``shifts``
     memoizes each row's shifted entries by the row tuple.
     """
@@ -140,6 +141,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in self.LETTERS:
             raise ValueError("unknown generator kind %r" % (self.kind,))
+        _int_entries((self.index,))
 
     @classmethod
     def from_letter(cls, letter: str, index: int) -> "GeneratorSpec":
@@ -166,6 +168,7 @@ class GeneratorSpec:
             )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class OperatorMatrix:
     """Square matrix of RadicalScalars over the canonical pattern basis.
 
@@ -177,15 +180,14 @@ class OperatorMatrix:
     ``to_float_array``.
     """
 
-    __slots__ = ("dim", "cols", "meta")
+    dim: int = field(compare=False)
+    cols: tuple[dict[int, RadicalScalar], ...]
+    meta: tuple | None = field(compare=False)
 
     def __init__(self, cols, meta=None):
         object.__setattr__(self, "dim", len(cols))
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "meta", meta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorMatrix is immutable")
 
     @classmethod
     def zero(cls, dim: int) -> "OperatorMatrix":
@@ -215,9 +217,6 @@ class OperatorMatrix:
             if c in col:
                 acc = acc + col[c]
         return acc
-
-    def __eq__(self, other):  # dim is len(cols)
-        return isinstance(other, OperatorMatrix) and self.cols == other.cols
 
     def transpose(self) -> "OperatorMatrix":
         cols: list[dict[int, RadicalScalar]] = [{} for _ in self.cols]

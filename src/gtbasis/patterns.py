@@ -13,6 +13,7 @@ row(1), row(2), ..., row(n), each row read left to right.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -28,6 +29,7 @@ def _int_entries(values) -> tuple[int, ...]:
     return values
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Partition:
     """A weakly decreasing integer vector, normalized so the last part is 0.
 
@@ -35,7 +37,7 @@ class Partition:
     module structure only depends on the differences of the parts.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts):
         parts = _int_entries(parts)
@@ -48,9 +50,6 @@ class Partition:
         if shift:
             parts = tuple(m - shift for m in parts)
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @property
     def n(self) -> int:
@@ -77,12 +76,6 @@ class Partition:
 
     def __repr__(self):
         return "Partition(%r)" % (list(self.parts),)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
 
 class PatternShapeError(ValueError):
@@ -117,6 +110,7 @@ def validate(rows, partition: Partition) -> list[str]:
     return problems
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class GTPattern:
     """An immutable Gelfand-Tsetlin pattern.
 
@@ -124,7 +118,7 @@ class GTPattern:
     rows[-1] is the partition.  Constructing a GTPattern validates it.
     """
 
-    __slots__ = ("rows",)
+    rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows, partition: Partition | None = None):
         rows = tuple(_int_entries(row) for row in rows)
@@ -141,9 +135,6 @@ class GTPattern:
         if problems:
             raise PatternShapeError("invalid pattern: " + "; ".join(problems))
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GTPattern is immutable")
 
     @property
     def n(self) -> int:
@@ -168,9 +159,8 @@ class GTPattern:
     def replace(self, k: int, i: int, value: int) -> "GTPattern | None":
         """Copy with entry (k, i) set to value, or None if that is invalid.
 
-        Only the interleaving inequalities that involve entry (k, i) can
-        change, so only those are checked; the top row is the partition and
-        stays fixed.  A value that is not an int is a ValueError.
+        ``validate``, the one statement of the interleaving rule, checks the
+        new rows.  A value that is not an int is a ValueError.
         """
         rows = self.rows
         if not (1 <= k <= len(rows) and 1 <= i <= k):
@@ -178,18 +168,8 @@ class GTPattern:
                              % (k, i, len(rows)))
         (value,) = _int_entries((value,))
         row = rows[k - 1]
-        if k == len(rows):
-            return self if value == row[i - 1] else None
-        upper = rows[k]
-        if not upper[i - 1] >= value >= upper[i]:
-            return None
-        if k > 1:
-            lower = rows[k - 2]
-            if (i < k and value < lower[i - 1]) or (i > 1 and value > lower[i - 2]):
-                return None
-        return GTPattern._trusted(
-            rows[:k - 1] + (row[:i - 1] + (value,) + row[i:],) + rows[k:]
-        )
+        rows = rows[:k - 1] + (row[:i - 1] + (value,) + row[i:],) + rows[k:]
+        return None if validate(rows, self.partition) else GTPattern._trusted(rows)
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "GTPattern":
@@ -244,12 +224,6 @@ class GTPattern:
     def __repr__(self):
         return "GTPattern(%r)" % (self.to_string(),)
 
-    def __eq__(self, other):
-        return isinstance(other, GTPattern) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __lt__(self, other):
         if not isinstance(other, GTPattern):
             return NotImplemented
@@ -262,14 +236,6 @@ class GTPattern:
 def _text_format(n: int) -> str:
     """The ``to_string`` format of an n-row pattern: "%d,%d;%d" at n = 2."""
     return ";".join([",".join(["%d"] * k) for k in range(n, 0, -1)])
-
-
-def compare(a: GTPattern, b: GTPattern) -> int:
-    """-1, 0 or 1 under the canonical total order."""
-    if a.rows[-1] != b.rows[-1]:
-        raise ValueError("cannot compare patterns of different partitions")
-    ka, kb = a.key(), b.key()
-    return (ka > kb) - (ka < kb)
 
 
 def enumerate_patterns(partition: Partition) -> list[GTPattern]:

@@ -17,7 +17,7 @@ from .operators import (
     InternalConsistencyError,
     apply_generator,
 )
-from .patterns import GTPattern, Partition, highest_pattern
+from .patterns import GTPattern, Partition, _int_entries, highest_pattern
 from .scalars import RadicalScalar
 
 
@@ -29,13 +29,15 @@ class UnsupportedScheduleError(ValueError):
     """Asked for an unknown sweep schedule."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class GeneratorWord:
     """A product of raising/lowering generator powers, in written order."""
 
-    __slots__ = ("factors",)
+    factors: tuple[tuple[GeneratorSpec, int], ...]
 
     def __init__(self, factors):
-        factors = tuple((spec, int(exp)) for spec, exp in factors)
+        factors = tuple((spec, exp) for spec, exp in factors)
+        _int_entries(exp for _, exp in factors)
         for spec, exp in factors:
             if spec.kind not in ("raise", "lower"):
                 raise ValueError("words contain only raise/lower factors")
@@ -44,9 +46,6 @@ class GeneratorWord:
             if spec.index < 1:
                 raise ValueError("row index %d below 1" % spec.index)
         object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratorWord is immutable")
 
     def exponents_written(self) -> list[int]:
         return [exp for _, exp in self.factors]
@@ -61,12 +60,6 @@ class GeneratorWord:
     def to_json(self) -> list[dict]:
         return [{"gen": spec.LETTERS[spec.kind], "row": spec.index, "exp": exp}
                 for spec, exp in self.factors]
-
-    def __eq__(self, other):
-        return isinstance(other, GeneratorWord) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
 
     def __repr__(self):
         return "GeneratorWord(%r)" % (self.to_text(),)

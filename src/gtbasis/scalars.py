@@ -16,6 +16,7 @@ ints, c_d = n_d / D over one common denominator D ≥ 1 with gcd(D, every n_d)
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
 
@@ -86,6 +87,7 @@ def json_int(x) -> int:
     raise ValueError("not an integer: %r" % (x,))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class RadicalScalar:
     """An element sum(n_d * sqrt(d)) / den in canonical form.
 
@@ -93,10 +95,12 @@ class RadicalScalar:
     the rational part sits at d = 1.  ``den`` ≥ 1 is the one common
     denominator, with gcd(den, every n_d) = 1; zero is ({}, 1).  The
     constructor takes {d: Fraction or int}, and ``coefficients`` gives that
-    form back.  Instances are immutable and hashable.
+    form back.  Immutable; ``__eq__`` and ``__hash__`` are written out, as a
+    generated ``__hash__`` would hash the dict ``terms`` and fail.
     """
 
-    __slots__ = ("terms", "den")
+    terms: dict[int, int]
+    den: int
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
         clean: dict[int, Fraction] = {}
@@ -114,9 +118,6 @@ class RadicalScalar:
         terms, den = _over_common_den(clean)
         _set_terms(self, terms)
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RadicalScalar is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -190,14 +191,6 @@ class RadicalScalar:
                 else:
                     del out[d]
         return _reduced(out, den)
-
-    def scale(self, r) -> "RadicalScalar":
-        """Multiply by a plain rational (cheaper than a full mul)."""
-        r = _as_fraction(r)
-        if r == 0:
-            return _make({}, 1)
-        return _reduced({d: n * r.numerator for d, n in self.terms.items()},
-                        self.den * r.denominator)
 
     # -- field structure ---------------------------------------------------
 
@@ -301,7 +294,7 @@ class RadicalScalar:
         return _make(*_over_common_den(terms))
 
 
-# The slots' own setters: RadicalScalar.__setattr__ refuses every assignment.
+# The slots' own setters, which bypass the frozen RadicalScalar.__setattr__.
 _set_terms, _set_den = RadicalScalar.terms.__set__, RadicalScalar.den.__set__
 
 

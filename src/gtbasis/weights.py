@@ -53,13 +53,19 @@ def weight_to_json(w: tuple[int, ...]) -> dict:
     }
 
 
+def _int_list(data: dict, name: str) -> list[int]:
+    """The field ``name``, a JSON list, each entry read through ``json_int``."""
+    value = data[name]
+    if not isinstance(value, list):  # a string would read digit by digit
+        raise ValueError("%s is not a list in %r" % (name, data))
+    return [json_int(x) for x in value]
+
+
 def weight_from_json(data: dict) -> tuple[int, ...]:
     try:
-        kappa = data["kappa"]
-        if not isinstance(kappa, list):  # a string would read digit by digit
-            raise ValueError("kappa is not a list in %r" % (data,))
-        w = tuple(json_int(k) for k in kappa)
-        fundamental = list(data.get("fundamental", fundamental_coords(w)))
+        w = tuple(_int_list(data, "kappa"))
+        fundamental = (_int_list(data, "fundamental") if "fundamental" in data
+                       else fundamental_coords(w))
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed weight document: %r" % (exc,)) from None
     if fundamental != fundamental_coords(w):

@@ -11,6 +11,8 @@ import io
 import json
 import math
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import weakref
@@ -483,6 +485,29 @@ def test_help_lists_all_subcommands():
     for name in ("dim", "patterns", "matrix", "verify", "weights",
                  "raise", "monomials", "export"):
         assert name in res.output
+
+
+def _readme_examples():
+    """(argument list, printed text) of each ``$ gtbasis ...`` example in
+    README.md's ``sh`` blocks whose output is printed in full, with no "..."."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M):
+        for example in re.split(r"^\$ gtbasis ", block, flags=re.M)[1:]:
+            command, _, text = example.partition("\n")
+            text = text.rstrip("\n") + "\n"
+            if "..." not in text:
+                examples.append((shlex.split(command, comments=True), text))
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows():
+    examples = _readme_examples()
+    assert len(examples) >= 7
+    for args, text in examples:
+        result = CliRunner().invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert result.output == text, args
 
 
 def test_module_entry_point():

@@ -549,9 +549,15 @@ def test_family_json_round_trip():
                 {**doc, "schedule": "canonical"}, {**doc, "schedule": "sideways"},
                 {**doc, "entries": [{**e, "duplicate_of": float(e["duplicate_of"])}
                                     if e["duplicate_of"] is not None else e
-                                    for e in entries]}):
+                                    for e in entries]},
+                # a rank that is not an int, or that no family of 7 distinct
+                # words has, and an is_basis that is not the bool rank == dim
+                {**doc, "rank": 8, "is_basis": True}, {**doc, "rank": 7.0},
+                {**doc, "rank": -1}, {**doc, "is_basis": 0}, {**doc, "rank": True},
+                {**doc, "is_basis": None}, {k: v for k, v in doc.items() if k != "rank"}):
         with pytest.raises(ValueError):
             family_from_json(bad)
+    assert family_from_json({**doc, "rank": "6"}).exponents == family.exponents
 
     canonical = monomial_family(P210, "canonical")
     canonical_doc = family_to_json(canonical, rank(basis_matrix(canonical)))

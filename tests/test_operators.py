@@ -210,6 +210,10 @@ def test_generator_spec_ranges():
         GeneratorSpec("cartan", 3).check_range(3)
     with pytest.raises(ValueError):
         GeneratorSpec("twist", 1)
+    # the index is read by the package's one int rule, like a pattern entry
+    for index in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            GeneratorSpec("raise", index)
 
 
 def test_commutator_examples():
@@ -712,7 +716,8 @@ def _corrupting(monkeypatch, corruption):
                 [{r: v * two for r, v in col.items()} for col in mat.cols])
         if corruption == "conjugate_d" and spec.kind in ("raise", "lower"):
             mat = OperatorMatrix(
-                [{r: v.scale(Fraction(r + 1, c + 1)) for r, v in col.items()}
+                [{r: v * RadicalScalar.from_rational(Fraction(r + 1, c + 1))
+                  for r, v in col.items()}
                  for c, col in enumerate(mat.cols)])
         if corruption == "negate_both" and spec.kind in ("raise", "lower"):
             r, c = _first_entry_of_e(partition, spec.index)

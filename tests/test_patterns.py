@@ -11,7 +11,6 @@ from gtbasis.patterns import (
     GTPattern,
     Partition,
     PatternShapeError,
-    compare,
     dimension,
     enumerate_patterns,
     highest_pattern,
@@ -248,25 +247,26 @@ def test_dimension_n2_closed_form():
 def test_compare_examples():
     a = pat(P110, "1,0;0")
     b = pat(P110, "1,0;1")
-    assert compare(a, b) == -1
-    assert compare(a, a) == 0
-    assert compare(pat(P210, "2,1;2"), pat(P210, "1,1;1")) == 1
+    assert a < b and not b < a
+    assert a == a and not a < a
+    assert pat(P210, "1,1;1") < pat(P210, "2,1;2")
+    assert not pat(P210, "2,1;2") < pat(P210, "1,1;1")
 
 
 def test_compare_rejects_mixed_partitions():
     with pytest.raises(ValueError):
-        compare(pat(P110, "1,0;0"), pat(P210, "1,0;0"))
+        pat(P110, "1,0;0") < pat(P210, "1,0;0")
 
 
 def test_compare_is_total_order():
     for partition in (P210, P320):
         pats = enumerate_patterns(partition)
         for a, b in itertools.combinations(pats, 2):
-            assert compare(a, b) == -compare(b, a) != 0
+            assert a != b and (a < b) != (b < a)
         for a, b, c in itertools.combinations(pats, 3):
             # enumeration is ascending, so a < b < c must chain.
-            assert compare(a, b) == -1 and compare(b, c) == -1
-            assert compare(a, c) == -1
+            assert a < b and b < c
+            assert a < c
 
 
 def test_highest_pattern_examples():
@@ -282,7 +282,7 @@ def test_highest_pattern_is_maximum():
         pats = enumerate_patterns(partition)
         beta = highest_pattern(partition)
         assert pats[-1] == beta
-        assert all(compare(p, beta) <= 0 for p in pats)
+        assert all(p < beta or p == beta for p in pats)
 
 
 def test_unnormalized_top_row_is_shifted():

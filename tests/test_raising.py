@@ -12,6 +12,7 @@ from gtbasis.operators import (
     InternalConsistencyError,
     OperatorMatrix,
     apply_generator,
+    operator_matrix,
 )
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
 from gtbasis.raising import (
@@ -313,11 +314,36 @@ def test_word_validation():
         GeneratorWord(((GeneratorSpec("raise", 1), -2),))
     with pytest.raises(ValueError):
         GeneratorWord(((GeneratorSpec("lower", 0), 1),))
+    # exponents follow the package's one int rule: int() would read 1.9 as 1
+    for exp in (1.9, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            GeneratorWord(((GeneratorSpec("raise", 1), exp),))
     # the letters come from the same table, and mirror swaps E and F
     word = GeneratorWord([(GeneratorSpec("raise", 2), 1), (GeneratorSpec("lower", 1), 3)])
     assert word.to_text() == "E23^1 F12^3"
     assert word.mirror().to_json() == [{"gen": "E", "row": 1, "exp": 3},
                                        {"gen": "F", "row": 2, "exp": 1}]
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda: Partition([2, 1, 0]), ("parts",)),
+    (lambda: highest_pattern(Partition([2, 1, 0])), ("rows",)),
+    (lambda: GeneratorWord([(GeneratorSpec("raise", 1), 2)]), ("factors",)),
+    (lambda: operator_matrix(GeneratorSpec("raise", 1), Partition([1, 0])),
+     ("dim", "cols", "meta")),
+    (lambda: sqrt_rational(2) + RadicalScalar.from_rational(1), ("terms", "den")),
+    (lambda: GeneratorSpec("lower", 2), ("kind", "index")),
+], ids=["Partition", "GTPattern", "GeneratorWord", "OperatorMatrix", "RadicalScalar",
+        "GeneratorSpec"])
+def test_value_types_refuse_assigning_and_deleting_fields(make, fields):
+    value = make()
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == make()
+    assert all(getattr(value, name) == getattr(make(), name) for name in fields)
 
 
 LADDER = [Partition([2, 1, 0]), Partition([3, 2, 1, 0]), Partition([2, 1, 1, 1, 0]),

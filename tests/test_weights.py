@@ -123,7 +123,11 @@ def test_weight_json_round_trip():
     assert weight_from_json({"kappa": ["0", "1", "2"]}) == w
     for bad in ({"kappa": [0, 1, 2], "fundamental": [9, 9]}, {}, [], {"kappa": 5},
                 {"kappa": [0, 1, 2], "fundamental": 3}, {"kappa": [0.5, 1.9]},
-                {"kappa": [0, 1.0, 2]}, {"kappa": [0, True, 2]}, {"kappa": "012"}):
+                {"kappa": [0, 1.0, 2]}, {"kappa": [0, True, 2]}, {"kappa": "012"},
+                # fundamental is read like kappa: a list of json_int fields
+                {"kappa": [2, 1, 0], "fundamental": [1.0, 1.0]},
+                {"kappa": [2, 1, 0], "fundamental": [True, True]},
+                {"kappa": [2, 1, 0], "fundamental": "11"}):
         with pytest.raises(ValueError):
             weight_from_json(bad)
 
