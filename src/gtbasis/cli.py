@@ -20,7 +20,6 @@ from .operators import (
     OperatorMatrix,
     matrix_market,
     matrix_to_json,
-    operator_matrix,
     verify_sln_relations,
 )
 from .patterns import GTPattern, Partition, PatternShapeError, dimension, enumerate_patterns
@@ -205,7 +204,7 @@ def matrix(partition, generator, index, fmt, output):
     """Print the matrix of GENERATOR (E, F, H, or cartan) at INDEX."""
     spec = generator_spec(partition, generator, index)
     module = GTModule(partition)
-    mat = operator_matrix(spec, partition, module)
+    mat = module.generator(spec.kind, spec.index)
     if fmt == "json":
         emit(dumps(matrix_to_json(mat)), output)
     elif fmt == "matrixmarket":
@@ -222,8 +221,8 @@ def matrix(partition, generator, index, fmt, output):
 def verify(partition, fmt, output):
     """Check every bracket relation and certify simplicity."""
     module = GTModule(partition)
-    report = verify_sln_relations(partition, module)
-    cert = simplicity_certificate(partition, module)
+    report = verify_sln_relations(module)
+    cert = simplicity_certificate(module)
     if fmt == "json":
         doc = {
             "partition": list(partition.parts),
@@ -359,7 +358,7 @@ def raise_cmd(partition, pattern_text, fmt, output):
 @max_dim_option
 def monomials(partition, schedule, strict, fmt, output):
     """Build the lowering-monomial family for PARTITION and rank it."""
-    family = monomial_family(partition, schedule)
+    family = monomial_family(GTModule(partition), schedule)
     family_rank = rank(basis_matrix(family))
     d = len(family.patterns)
     is_basis = family_rank == d
@@ -395,7 +394,7 @@ def monomials(partition, schedule, strict, fmt, output):
 def export(partition, generator, index, output):
     """Write a generator matrix in Matrix Market coordinate format."""
     spec = generator_spec(partition, generator, index)
-    emit(matrix_market(operator_matrix(spec, partition)), output)
+    emit(matrix_market(GTModule(partition).generator(spec.kind, spec.index)), output)
 
 
 if __name__ == "__main__":

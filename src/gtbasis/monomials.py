@@ -20,7 +20,7 @@ from .operators import (
     OperatorMatrix,
     _subtract_into,
 )
-from .patterns import GTPattern, Partition, dimension, enumerate_patterns
+from .patterns import GTPattern, Partition, dimension
 from .raising import (GeneratorWord, UnsupportedScheduleError, resolve_schedule,
                       sweep_exponents, word_format)
 from .scalars import RadicalScalar, json_int
@@ -28,18 +28,25 @@ from .scalars import RadicalScalar, json_int
 
 @dataclass
 class MonomialFamily:
-    """One lowering monomial per pattern, in canonical enumeration order.
+    """One lowering monomial per pattern of a module, in its basis order.
 
     ``exponents[i]``, the written exponents of pattern i's monomial, is
     ``sweep_exponents(patterns[i], order)`` along the schedule's row order.
     ``monomial_family`` builds the family, and ``family_from_json`` rebuilds it.
     """
 
-    partition: Partition
+    module: GTModule
     schedule: str
-    patterns: list[GTPattern]
     exponents: list[tuple[int, ...]]
     duplicate_of: list[int | None]
+
+    @property
+    def partition(self) -> Partition:
+        return self.module.partition
+
+    @property
+    def patterns(self) -> list[GTPattern]:
+        return self.module.basis
 
     @property
     def distinct_count(self) -> int:
@@ -50,9 +57,13 @@ class MonomialFamily:
         """(index, first-occurrence index) pairs for repeated words."""
         return [(i, d) for i, d in enumerate(self.duplicate_of) if d is not None]
 
+    @property
+    def order(self) -> list[int]:
+        """The schedule's application row order, along which ``exponents`` run."""
+        return resolve_schedule(self.partition.n, self.schedule)
+
     def _specs(self) -> list[GeneratorSpec]:
-        order = resolve_schedule(self.partition.n, self.schedule)
-        return [GeneratorSpec("lower", r) for r in order]
+        return [GeneratorSpec("lower", r) for r in self.order]
 
     @property
     def words(self) -> list[GeneratorWord]:
@@ -66,21 +77,14 @@ class MonomialFamily:
         return [fmt % e for e in self.exponents]
 
 
-def monomial_family(
-    partition: Partition, schedule="canonical", basis: list[GTPattern] | None = None
-) -> MonomialFamily:
-    """Build the family for a schedule, flagging duplicated words.
-
-    ``basis`` is the already enumerated pattern basis, if the caller has it.
-    """
-    order = resolve_schedule(partition.n, schedule)
-    if basis is None:
-        basis = enumerate_patterns(partition)
-    exps = [tuple(sweep_exponents(pat, order)) for pat in basis]
+def monomial_family(module: GTModule, schedule="canonical") -> MonomialFamily:
+    """Build the module's family for a schedule, flagging duplicated words."""
+    order = resolve_schedule(module.partition.n, schedule)
+    exps = [tuple(sweep_exponents(pat, order)) for pat in module.basis]
     first: dict[tuple[int, ...], int] = {}  # one row order: exponents name the word
     duplicate_of = [None if first.setdefault(e, i) == i else first[e]
                     for i, e in enumerate(exps)]
-    return MonomialFamily(partition, schedule, basis, exps, duplicate_of)
+    return MonomialFamily(module, schedule, exps, duplicate_of)
 
 
 def walk(order: list[int], exponents: list, start, step) -> list:
@@ -113,35 +117,34 @@ def walk(order: list[int], exponents: list, start, step) -> list:
     return out
 
 
-def basis_matrix(
-    family: MonomialFamily, module: GTModule | None = None
-) -> OperatorMatrix:
+def basis_matrix(family: MonomialFamily) -> OperatorMatrix:
     """Column i = word_i applied to β, over the family's pattern basis.
 
     ``walk`` applies the exponents along the schedule; no word is built.
-    The generator matrices come from ``module`` (one over
-    ``family.patterns`` when none is given), so each is built once.
+    The generator matrices come from the family's module, so each is built
+    once.
     """
-    module = GTModule.of(family.partition, module, family.patterns)
-    order = resolve_schedule(family.partition.n, family.schedule)
+    module = family.module
     return OperatorMatrix(walk(
-        order, family.exponents, {module.beta: RadicalScalar.one()},
+        family.order, family.exponents, {module.beta: RadicalScalar.one()},
         lambda r, v: module.generator("lower", r).apply(v)))
 
 
-def reached_sets(order: list[int], exponents: list, module: GTModule) -> list[frozenset]:
-    """Per exponent vector, the basis indices its monomial reaches from β on some path.
+def reached_sets(family: MonomialFamily) -> list[frozenset]:
+    """Per word of the family, the basis indices it reaches from β on some path.
 
     A step F_r sends a set to the union of the row supports of those
     columns of F_r's matrix; no scalar is computed.  When
-    ``module.lowering_positive`` holds, each set is exactly the support of
-    the ``basis_matrix`` column of the word with those exponents.
+    ``family.module.lowering_positive`` holds, each set is exactly the
+    support of the word's ``basis_matrix`` column.
     """
+    module = family.module
+
     def reach(r, reached):
         cols = module.generator("lower", r).cols
         return frozenset().union(*[cols[c] for c in reached])
 
-    return walk(order, exponents, frozenset([module.beta]), reach)
+    return walk(family.order, family.exponents, frozenset([module.beta]), reach)
 
 
 def _float_rank(mat: OperatorMatrix) -> int:
@@ -259,18 +262,18 @@ def family_to_json(family: MonomialFamily, family_rank: int) -> dict:
 def family_from_json(data: dict) -> MonomialFamily:
     """Read a family's JSON document back by rebuilding the family.
 
-    The family is ``monomial_family(partition, schedule)``, and the entries
-    must be exactly the ones ``family_to_json`` writes for it.  Their count
-    is tested first, so a short document never enumerates a large module.
-    The rank, not recomputed, must be a ``json_int`` from 0 to the distinct
-    word count (repeats repeat a column), and ``is_basis`` the bool rank == dim.
+    The family is ``monomial_family(GTModule(partition), schedule)``, and the
+    entries must be exactly the ones ``family_to_json`` writes for it.
+    Their count is tested first, so a short document never enumerates a
+    large module.  ``is_basis`` must be the bool rank == dim, and the rank a
+    ``json_int`` equal to ``rank(basis_matrix(family))``, recomputed.
     """
     try:
         partition, entries = Partition.from_json(data["partition"]), data["entries"]
         dim, family_rank = dimension(partition), json_int(data["rank"])
         if len(entries) != dim:
             raise ValueError("%d entries for a module of dimension %d" % (len(entries), dim))
-        family = monomial_family(partition, data["schedule"])
+        family = monomial_family(GTModule(partition), data["schedule"])
         # compared as text, so 1.0 or true is not read as the index 1
         same = dumps(entries, sort_keys=True) == dumps(_entries(family), sort_keys=True)
         is_basis = data["is_basis"]
@@ -279,7 +282,7 @@ def family_from_json(data: dict) -> MonomialFamily:
     if not same:
         raise ValueError("entries are not the %s family of %s"
                          % (family.schedule, partition))
-    if not 0 <= family_rank <= family.distinct_count or is_basis is not (family_rank == dim):
+    if is_basis is not (family_rank == dim) or family_rank != rank(basis_matrix(family)):
         raise ValueError("rank %d and is_basis %r do not fit the %s family of %s"
                          % (family_rank, is_basis, family.schedule, partition))
     return family

@@ -286,16 +286,17 @@ def _subtract_into(
 class GTModule:
     """One module's pattern basis and its matrices E(i,j), shared by one verdict.
 
-    Holds the basis (enumerated once, or given in ascending order), the
+    Holds the basis (enumerated once, in ascending order), the
     ``{rows: index}`` map, β's index, the square roots of the generator
     coefficients met so far, each basis pattern's weight (κ_1, ..., κ_n),
     read on first use, and each generator matrix and E(i,j), built on first
-    use.  Nothing is kept between verdicts.
+    use.  Every verdict takes its module, not the partition.  Nothing is
+    kept between verdicts.
     """
 
-    def __init__(self, partition: Partition, basis: list[GTPattern] | None = None):
+    def __init__(self, partition: Partition):
         self.partition = partition
-        self.basis = enumerate_patterns(partition) if basis is None else basis
+        self.basis = enumerate_patterns(partition)
         self.index = {pat.rows: i for i, pat in enumerate(self.basis)}
         self.beta = self.index[highest_pattern(partition).rows]
         self.roots: dict[tuple[int, int], RadicalScalar] = {}  # reduced (num, den)
@@ -348,22 +349,12 @@ class GTModule:
         return all(len(v.terms) == 1 and next(iter(v.terms.values())) > 0
                    for v in entries.values())
 
-    @classmethod
-    def of(cls, partition: Partition, module: GTModule | None = None,
-           basis: list[GTPattern] | None = None) -> GTModule:
-        """``module`` if it is built for ``partition``, else a new one over ``basis``."""
-        if module is None:
-            return cls(partition, basis)
-        if module.partition != partition:
-            raise ValueError("module is for %s, not %s" % (module.partition, partition))
-        return module
-
     def generator(self, kind: str, index: int) -> OperatorMatrix:
         """E_k ("raise"), F_k ("lower"), H_i ("diag") or a cartan difference."""
         mat = self._mats.get((kind, index))
         if mat is None:
             spec = GeneratorSpec(kind, index)
-            mat = self._mats[(kind, index)] = operator_matrix(spec, self.partition, self)
+            mat = self._mats[(kind, index)] = operator_matrix(spec, self)
         return mat
 
     def element(self, i: int, j: int) -> OperatorMatrix:
@@ -381,12 +372,9 @@ class GTModule:
         return self._mats[(i, j)]
 
 
-def operator_matrix(
-    spec: GeneratorSpec, partition: Partition, module: GTModule | None = None
-) -> OperatorMatrix:
+def operator_matrix(spec: GeneratorSpec, module: GTModule) -> OperatorMatrix:
     """Matrix of a generator over the ascending pattern basis of the module."""
-    spec.check_range(partition.n)
-    module = GTModule.of(partition, module)
+    spec.check_range(module.partition.n)
     index, k = module.index, spec.index
     if spec.kind in ("raise", "lower"):
         step, roots, shifts = (1 if spec.kind == "raise" else -1), module.roots, module.shifts
@@ -410,7 +398,7 @@ def operator_matrix(
         evs = [w[k - 1] - (w[k] if cartan else 0) for w in module.weights]
         scalars = {ev: _make({1: ev}, 1) for ev in set(evs) if ev}
         cols = [{c: scalars[ev]} if ev else {} for c, ev in enumerate(evs)]
-    meta = (partition, spec.LETTERS[spec.kind], spec.index)
+    meta = (module.partition, spec.LETTERS[spec.kind], spec.index)
     return OperatorMatrix(cols, meta=meta)
 
 
@@ -508,9 +496,7 @@ def _is_diagonal(mat: OperatorMatrix, values: list[int]) -> bool:
                for c, (col, v) in enumerate(zip(mat.cols, values)))
 
 
-def verify_sln_relations(
-    partition: Partition, module: GTModule | None = None
-) -> RelationReport:
+def verify_sln_relations(module: GTModule) -> RelationReport:
     """Check the defining bracket relations on this module.
 
     Covers [E_{i,j}, E_{j,l}] = E_{i,l}, [E_{i,j}, E_{j,i}] = H_i - H_j,
@@ -542,9 +528,8 @@ def verify_sln_relations(
     as holding and nothing more is computed.  Otherwise each check is
     decided on its own, reading ``module.element``.
     """
-    n = partition.n
-    module = GTModule.of(partition, module)
-    report = RelationReport(partition)
+    n = module.partition.n
+    report = RelationReport(module.partition)
     element = module.element
     idx = range(1, n + 1)
     diags = {i: module.generator("diag", i) for i in idx}

@@ -230,9 +230,7 @@ def _check_ladder(module: GTModule):
         raise InternalConsistencyError(fault)
 
 
-def simplicity_certificate(
-    partition: Partition, module: GTModule | None = None
-) -> SimplicityReport:
+def simplicity_certificate(module: GTModule) -> SimplicityReport:
     """Certify simplicity from the support of the canonical basis matrix.
 
     Its diagonal gives λ_β for every pattern (see ``_check_ladder``), and its
@@ -241,29 +239,27 @@ def simplicity_certificate(
     c·√d, so each entry of F_{k_m}⋯F_{k_1}β is a sum of positive path
     products: sums of positive reals cannot vanish, so the support of a
     column is exactly the set of patterns its word reaches
-    (``monomials.reached_sets`` of the sweep exponents, no word built),
+    (``monomials.reached_sets`` of the canonical family, no word built),
     found with sets and no arithmetic.  If
     column c reaches c and no pattern of lower index, the matrix is
     lower-triangular with a nonzero diagonal: every λ_β is nonzero and the
     rank is the dimension.  A support cannot see a flipped sign, which can
     make two paths cancel, so the positivity condition is required, not an
-    optimization.  In any other case the exact basis matrix and its rank
-    decide.
+    optimization.  In any other case the exact basis matrix of the same
+    family and its rank decide, so each pattern's sweep exponents are
+    computed once either way.
     """
     from . import monomials  # deferred: monomials imports this module
 
-    module = GTModule.of(partition, module)
     _check_ladder(module)
-    dim = len(module.basis)
-    order = canonical_row_order(partition.n)
-    exps = [sweep_exponents(p, order) for p in module.basis]
+    partition, dim = module.partition, len(module.basis)
+    family = monomials.monomial_family(module)
     if module.lowering_positive and all(
         min(reached, default=None) == c
-        for c, reached in enumerate(monomials.reached_sets(order, exps, module))
+        for c, reached in enumerate(monomials.reached_sets(family))
     ):
         return SimplicityReport(partition, dim, dim, [], dim)
-    family = monomials.monomial_family(partition, "canonical", module.basis)
-    mat = monomials.basis_matrix(family, module)
+    mat = monomials.basis_matrix(family)
     failures = [
         (pat, "raising %s annihilated it" % pat.to_string())
         for c, pat in enumerate(module.basis)

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from gtbasis.cli import main as cli_main
 from gtbasis.monomials import basis_matrix, monomial_family, rank
 from gtbasis.operators import (
+    GTModule,
     act_diag,
     act_lower,
     act_raise,
@@ -147,7 +148,7 @@ def test_criterion_3_general_vs_closed_forms(capsys):
 def test_criterion_4_bracket_relations(capsys):
     with criterion(capsys, 4, "bracket relations on five modules", 120):
         for parts in ([1, 0], [2, 1, 0], [3, 2, 0], [2, 1, 1, 0], [1, 1, 1, 0]):
-            report = verify_sln_relations(Partition(parts))
+            report = verify_sln_relations(GTModule(Partition(parts)))
             assert report.passed, (parts, report.failures)
 
 
@@ -183,13 +184,13 @@ def test_criterion_6_raising_certification(capsys):
 
 def test_criterion_7_monomial_bases(capsys):
     with criterion(capsys, 7, "monomial families and ranks", 60):
-        canonical = monomial_family(P210, "canonical")
+        canonical = monomial_family(GTModule(P210), "canonical")
         assert {w.to_text() for w in canonical.words} == CANONICAL_WORDS_210
         assert rank(basis_matrix(canonical)) == 8
-        canonical_320 = monomial_family(P320, "canonical")
+        canonical_320 = monomial_family(GTModule(P320), "canonical")
         assert {w.to_text() for w in canonical_320.words} == CANONICAL_WORDS_320
         assert rank(basis_matrix(canonical_320)) == 15
-        alternate = monomial_family(P210, "alternate")
+        alternate = monomial_family(GTModule(P210), "alternate")
         assert alternate.distinct_count <= 7
         assert rank(basis_matrix(alternate)) < 8
         pats = [p.compact_str() for p in alternate.patterns]

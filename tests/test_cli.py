@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from gtbasis import patterns
 from gtbasis.cli import emit, main
 from gtbasis.operators import (
+    GTModule,
     GeneratorSpec,
     OperatorMatrix,
     matrix_from_json,
@@ -115,12 +116,12 @@ def test_matrix_json_round_trip():
         res = run(["matrix", "2,1,0", generator, str(index), "--format", "json"])
         mat = matrix_from_json(json.loads(res.output))
         kind = {"E": "raise", "F": "lower", "H": "diag", "cartan": "cartan"}[generator]
-        assert mat.entries == operator_matrix(GeneratorSpec(kind, index), P210).entries
+        assert mat.entries == operator_matrix(GeneratorSpec(kind, index), GTModule(P210)).entries
 
 
 def _dense_matrix_output(partition, spec, fmt):
     """``matrix`` output formatted from the dense grid of ``entries``, cell by cell."""
-    mat, letter = operator_matrix(spec, partition), spec.LETTERS[spec.kind]
+    mat, letter = operator_matrix(spec, GTModule(partition)), spec.LETTERS[spec.kind]
     if fmt == "json":
         doc = {"partition": list(partition.parts), "generator": letter,
                "index": spec.index, "dim": mat.dim,
@@ -534,14 +535,16 @@ def test_emit_keeps_no_reference_to_a_redirected_stdout():
 # -- one enumeration per verdict ----------------------------------------------
 
 
-def _count_enumerations(monkeypatch):
-    """Route every gtbasis binding of enumerate_patterns through a counter."""
-    calls = []
-    original = patterns.enumerate_patterns
+def _count_calls(monkeypatch, original):
+    """Route every gtbasis binding of the function through a counter.
 
-    def counting(partition):
-        calls.append(partition)
-        return original(partition)
+    Returns the list of each call's positional arguments.
+    """
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
     for name, mod in list(sys.modules.items()):
         if name == "gtbasis" or name.startswith("gtbasis."):
@@ -549,6 +552,10 @@ def _count_enumerations(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, key, counting)
     return calls
+
+
+def _count_enumerations(monkeypatch):
+    return _count_calls(monkeypatch, patterns.enumerate_patterns)
 
 
 @pytest.mark.parametrize("args", [

@@ -45,7 +45,7 @@ from golden_data import (
 
 
 def _family_word(xi):
-    family = monomial_family(xi.partition)
+    family = monomial_family(GTModule(xi.partition))
     return family.words[family.patterns.index(xi)]
 
 
@@ -59,7 +59,7 @@ def test_monomial_word_examples():
 
 
 def test_canonical_family_210_matches_printed_set():
-    family = monomial_family(P210, "canonical")
+    family = monomial_family(GTModule(P210), "canonical")
     words = {w.to_text() for w in family.words}
     assert words == CANONICAL_WORDS_210
     assert family.duplicate_of == [None] * 8
@@ -67,7 +67,7 @@ def test_canonical_family_210_matches_printed_set():
 
 
 def test_canonical_family_320_matches_printed_set():
-    family = monomial_family(P320, "canonical")
+    family = monomial_family(GTModule(P320), "canonical")
     words = {w.to_text() for w in family.words}
     assert words == CANONICAL_WORDS_320
     assert family.distinct_count == 15
@@ -75,7 +75,7 @@ def test_canonical_family_320_matches_printed_set():
 
 
 def test_alternate_family_210_duplicate_and_rank():
-    family = monomial_family(P210, "alternate")
+    family = monomial_family(GTModule(P210), "alternate")
     assert {w.to_text() for w in family.words} == ALTERNATE_DISTINCT_WORDS_210
     assert family.distinct_count == 7
     first, dup = DUPLICATE_PAIR_210
@@ -88,7 +88,7 @@ def test_alternate_family_210_duplicate_and_rank():
 
 
 def test_alternate_family_320_duplicates():
-    family = monomial_family(P320, "alternate")
+    family = monomial_family(GTModule(P320), "alternate")
     assert family.distinct_count == 12
     pats = [p.compact_str() for p in family.patterns]
     observed = {
@@ -109,7 +109,7 @@ ALTERNATE_POOL = [(6, 3, 0), (7, 3, 0), (8, 4, 0), (9, 3, 0), (9, 4, 0), (10, 5,
 )
 def test_family_words_are_mirrored_raising_words(parts, schedule):
     partition = Partition(parts)
-    family = monomial_family(partition, schedule)
+    family = monomial_family(GTModule(partition), schedule)
     first = {}
     words = family.words
     for i, p in enumerate(family.patterns):
@@ -121,15 +121,15 @@ def test_family_words_are_mirrored_raising_words(parts, schedule):
 
 def test_alternate_schedule_at_other_n():
     # n = 4: rows [3, 2, 1, 3, 2, 3]; the smallest module with a repeated word
-    family = monomial_family(Partition([2, 1, 1, 0]), "alternate")
+    family = monomial_family(GTModule(Partition([2, 1, 1, 0])), "alternate")
     assert family.duplicates == [(7, 6)]
     assert rank(basis_matrix(family)) == family.distinct_count == 14
-    family = monomial_family(Partition([3, 2, 1, 0]), "alternate")
+    family = monomial_family(GTModule(Partition([3, 2, 1, 0])), "alternate")
     assert len(family.patterns) == 64
     assert rank(basis_matrix(family)) == family.distinct_count == 42
     # n = 2: the alternate order is the canonical [1]
-    family = monomial_family(Partition([3, 0]), "alternate")
-    assert family.exponents == monomial_family(Partition([3, 0])).exponents
+    family = monomial_family(GTModule(Partition([3, 0])), "alternate")
+    assert family.exponents == monomial_family(GTModule(Partition([3, 0]))).exponents
     assert rank(basis_matrix(family)) == 4
 
 
@@ -168,12 +168,15 @@ def test_only_the_canonical_commutation_class_gives_a_basis(parts):
 def test_custom_schedule():
     for schedule in ([2, 1, 2], [3, 1], (1, 2), "sideways", 5):
         with pytest.raises(UnsupportedScheduleError):
-            monomial_family(P210, schedule)
+            monomial_family(GTModule(P210), schedule)
 
 
 def test_basis_matrix_identity_column():
-    family = monomial_family(P210, "canonical")
+    module = GTModule(P210)
+    family = monomial_family(module, "canonical")
+    assert family.module is module and family.patterns is module.basis
     mat = basis_matrix(family)
+    assert mat == basis_matrix(monomial_family(GTModule(P210), "canonical"))
     pats = enumerate_patterns(P210)
     beta_index = pats.index(highest_pattern(P210))
     col = [mat.entries[r][beta_index] for r in range(8)]
@@ -206,21 +209,21 @@ def test_basis_matrix_columns_are_word_images():
         ([6, 3, 0], "alternate"),
         ([8, 4, 0], "alternate"),
     ):
-        family = monomial_family(Partition(parts), schedule)
+        family = monomial_family(GTModule(Partition(parts)), schedule)
         assert basis_matrix(family) == _word_by_word(family), (parts, schedule)
-    assert rank(basis_matrix(monomial_family(P110, "canonical"))) == 3
+    assert rank(basis_matrix(monomial_family(GTModule(P110), "canonical"))) == 3
 
 
 def test_basis_matrix_follows_the_stored_exponents():
     # canonical row order, alternate exponents: the words and the columns
     # are both read from the one stored form
-    alternate = monomial_family(P210, "alternate")
-    family = MonomialFamily(P210, "canonical", enumerate_patterns(P210),
+    alternate = monomial_family(GTModule(P210), "alternate")
+    family = MonomialFamily(GTModule(P210), "canonical",
                             alternate.exponents, alternate.duplicate_of)
     assert [tuple(w.exponents_written()) for w in family.words] == alternate.exponents
     assert family.words != alternate.words
     assert basis_matrix(family) == _word_by_word(family)
-    assert basis_matrix(family) != basis_matrix(monomial_family(P210, "canonical"))
+    assert basis_matrix(family) != basis_matrix(monomial_family(GTModule(P210), "canonical"))
 
 
 @pytest.mark.parametrize("parts, schedule, steps", [
@@ -234,8 +237,7 @@ def test_basis_matrix_follows_the_stored_exponents():
 def test_walk_shares_word_prefixes(parts, schedule, steps, monkeypatch):
     partition = Partition(parts)
     module = GTModule(partition)
-    family = monomial_family(partition, schedule, module.basis)
-    order = monomials.resolve_schedule(partition.n, schedule)
+    family = monomial_family(module, schedule)
     calls = []
     original = monomials.walk
 
@@ -246,10 +248,10 @@ def test_walk_shares_word_prefixes(parts, schedule, steps, monkeypatch):
         return original(order, exponents, start, counted)
 
     monkeypatch.setattr(monomials, "walk", counting)
-    basis_matrix(family, module)
+    basis_matrix(family)
     assert len(calls) == steps
     calls.clear()
-    monomials.reached_sets(order, family.exponents, module)
+    monomials.reached_sets(family)
     assert len(calls) == steps
 
 
@@ -264,24 +266,17 @@ def test_walk_shares_word_prefixes(parts, schedule, steps, monkeypatch):
     ([8, 4, 0], "alternate"),
 ])
 def test_word_texts_are_the_words_to_text(parts, schedule):
-    family = monomial_family(Partition(parts), schedule)
+    family = monomial_family(GTModule(Partition(parts)), schedule)
     assert family.word_texts() == [w.to_text() for w in family.words]
-
-
-def test_basis_matrix_refuses_a_module_of_another_partition():
-    family = monomial_family(P210, "canonical")
-    assert basis_matrix(family, GTModule(P210)) == basis_matrix(family)
-    with pytest.raises(ValueError):
-        basis_matrix(family, GTModule(P110))
 
 
 def test_basis_matrix_builds_each_lowering_matrix_once(monkeypatch):
     calls = []
     original = operators.operator_matrix
 
-    def counting(spec, partition, *rest):
+    def counting(spec, module):
         calls.append(spec)
-        return original(spec, partition, *rest)
+        return original(spec, module)
 
     def forbidden(*args):
         raise AssertionError("basis_matrix applied a word pattern by pattern")
@@ -299,14 +294,14 @@ def test_basis_matrix_builds_each_lowering_matrix_once(monkeypatch):
     ):
         calls.clear()
         n = len(parts)
-        basis_matrix(monomial_family(Partition(parts), schedule))
+        basis_matrix(monomial_family(GTModule(Partition(parts)), schedule))
         assert sorted(spec.index for spec in calls) == list(range(1, n))
         assert {spec.kind for spec in calls} == {"lower"}
 
 
 def test_column_weight_matches_source_pattern():
     for partition in (P110, P210, P320):
-        family = monomial_family(partition, "canonical")
+        family = monomial_family(GTModule(partition), "canonical")
         mat = basis_matrix(family)
         pats = enumerate_patterns(partition)
         for c, source in enumerate(family.patterns):
@@ -337,7 +332,7 @@ def test_canonical_rank_equals_dimension_exhaustive(invert_calls):
     partitions = [p for n, max_m1 in ((2, 4), (3, 4), (4, 3))
                   for p in all_partitions(n, max_m1)]
     for partition in partitions + [Partition([2, 1, 1, 1, 0])]:
-        family = monomial_family(partition, "canonical")
+        family = monomial_family(GTModule(partition), "canonical")
         d = len(family.patterns)
         mat = basis_matrix(family)
         for c, col in enumerate(mat.cols):
@@ -352,7 +347,7 @@ def test_duplicates_imply_rank_deficit(invert_calls):
     occurrence, so it is dropped without a division."""
     extra = [Partition(parts) for parts in ([6, 3, 0], [7, 3, 0], [8, 4, 0])]
     for partition in all_partitions(3, 4) + extra:
-        family = monomial_family(partition, "alternate")
+        family = monomial_family(GTModule(partition), "alternate")
         mat = basis_matrix(family)
         invert_calls.clear()
         r = rank(mat)
@@ -477,7 +472,7 @@ _LARGE_CANONICAL = [Partition(parts)
 
 def test_float_rank_counts_as_the_dense_svd_on_canonical_matrices():
     for partition in _LARGE_CANONICAL:
-        mat = basis_matrix(monomial_family(partition, "canonical"))
+        mat = basis_matrix(monomial_family(GTModule(partition), "canonical"))
         assert _float_rank(mat) == _dense_float_rank(mat) == mat.dim, partition
 
 
@@ -495,7 +490,7 @@ def test_float_check_fires_inside_a_block():
 def test_float_check_never_sees_the_whole_matrix(monkeypatch):
     """Every SVD input is a stack of blocks no larger than a weight space."""
     partition = _LARGE_CANONICAL[0]
-    mat = basis_matrix(monomial_family(partition, "canonical"))
+    mat = basis_matrix(monomial_family(GTModule(partition), "canonical"))
     largest = max(map(len, weight_decomposition(partition).values()))
     shapes = []
     original = numpy.linalg.svd
@@ -511,7 +506,7 @@ def test_float_check_never_sees_the_whole_matrix(monkeypatch):
 
 
 def test_family_json_round_trip():
-    family = monomial_family(P210, "alternate")
+    family = monomial_family(GTModule(P210), "alternate")
     doc = family_to_json(family, rank(basis_matrix(family)))
     assert doc["partition"] == [2, 1, 0]
     assert doc["schedule"] == "alternate"
@@ -530,6 +525,9 @@ def test_family_json_round_trip():
     text_not_str = [{**e, "pattern": 5} for e in doc["entries"]]
     entries = doc["entries"]
     assert entries[1]["duplicate_of"] is None and entries[0]["word"] != entries[1]["word"]
+    canonical = monomial_family(GTModule(P210), "canonical")
+    canonical_doc = family_to_json(canonical, rank(basis_matrix(canonical)))
+    assert canonical_doc["rank"] == 8 and canonical_doc["is_basis"] is True
     for bad in ({}, {**doc, "entries": no_duplicate_of}, {**doc, "entries": ["E12"]},
                 {**doc, "entries": text_not_str},
                 # patterns other than the enumeration: a prefix, or reordered
@@ -550,20 +548,19 @@ def test_family_json_round_trip():
                 {**doc, "entries": [{**e, "duplicate_of": float(e["duplicate_of"])}
                                     if e["duplicate_of"] is not None else e
                                     for e in entries]},
-                # a rank that is not an int, or that no family of 7 distinct
-                # words has, and an is_basis that is not the bool rank == dim
+                # a rank that is not an int, or not the family's rank 7, and
+                # an is_basis that is not the bool rank == dim
                 {**doc, "rank": 8, "is_basis": True}, {**doc, "rank": 7.0},
                 {**doc, "rank": -1}, {**doc, "is_basis": 0}, {**doc, "rank": True},
+                {**doc, "rank": 6}, {**doc, "rank": "6"},
+                {**canonical_doc, "rank": 0, "is_basis": False},
                 {**doc, "is_basis": None}, {k: v for k, v in doc.items() if k != "rank"}):
         with pytest.raises(ValueError):
             family_from_json(bad)
-    assert family_from_json({**doc, "rank": "6"}).exponents == family.exponents
+    assert family_from_json({**doc, "rank": "7"}).exponents == family.exponents
+    assert family_from_json(canonical_doc).exponents == canonical.exponents
 
-    canonical = monomial_family(P210, "canonical")
-    canonical_doc = family_to_json(canonical, rank(basis_matrix(canonical)))
-    assert canonical_doc["rank"] == 8 and canonical_doc["is_basis"] is True
-
-    n_four = monomial_family(Partition([3, 2, 1, 0]), "alternate")
+    n_four = monomial_family(GTModule(Partition([3, 2, 1, 0])), "alternate")
     restored = family_from_json(json.loads(json.dumps(family_to_json(n_four, 42))))
     assert restored.exponents == n_four.exponents
     assert restored.duplicate_of == n_four.duplicate_of

@@ -179,7 +179,7 @@ def test_coefficients_square_to_positive_rationals():
 
 
 def test_operator_matrix_n2_raise():
-    mat = operator_matrix(GeneratorSpec("raise", 1), P10)
+    mat = operator_matrix(GeneratorSpec("raise", 1), GTModule(P10))
     assert mat.dim == 2
     # ascending order is (q=0, q=1); E sends the first to the second.
     assert mat.entries[1][0] == RadicalScalar.one()
@@ -187,12 +187,12 @@ def test_operator_matrix_n2_raise():
 
 
 def test_operator_matrix_n2_cartan():
-    mat = operator_matrix(GeneratorSpec("cartan", 1), P10)
+    mat = operator_matrix(GeneratorSpec("cartan", 1), GTModule(P10))
     assert [str(mat.entries[i][i]) for i in range(2)] == ["-1", "1"]
 
 
 def test_operator_matrix_diag3_matches_table():
-    mat = operator_matrix(GeneratorSpec("diag", 3), P210)
+    mat = operator_matrix(GeneratorSpec("diag", 3), GTModule(P210))
     pats = enumerate_patterns(P210)
     for i, xi in enumerate(pats):
         expected = H33_210[xi.compact_str()]
@@ -217,23 +217,23 @@ def test_generator_spec_ranges():
 
 
 def test_commutator_examples():
-    e = operator_matrix(GeneratorSpec("raise", 1), P10)
-    f = operator_matrix(GeneratorSpec("lower", 1), P10)
-    h = operator_matrix(GeneratorSpec("cartan", 1), P10)
+    e = operator_matrix(GeneratorSpec("raise", 1), GTModule(P10))
+    f = operator_matrix(GeneratorSpec("lower", 1), GTModule(P10))
+    h = operator_matrix(GeneratorSpec("cartan", 1), GTModule(P10))
     assert commutator(e, f) == h
     assert commutator(e, e).is_zero()
-    e12 = operator_matrix(GeneratorSpec("raise", 1), P210)
-    e23 = operator_matrix(GeneratorSpec("raise", 2), P210)
+    e12 = operator_matrix(GeneratorSpec("raise", 1), GTModule(P210))
+    e23 = operator_matrix(GeneratorSpec("raise", 2), GTModule(P210))
     e13 = commutator(e12, e23)
     assert not e13.is_zero()
     assert general_element(1, 3, P210) == e13
 
 
 def test_general_element_examples():
-    f = operator_matrix(GeneratorSpec("lower", 1), P10)
+    f = operator_matrix(GeneratorSpec("lower", 1), GTModule(P10))
     assert general_element(2, 1, P10) == f
-    f32 = operator_matrix(GeneratorSpec("lower", 2), P210)
-    f21 = operator_matrix(GeneratorSpec("lower", 1), P210)
+    f32 = operator_matrix(GeneratorSpec("lower", 2), GTModule(P210))
+    f21 = operator_matrix(GeneratorSpec("lower", 1), GTModule(P210))
     assert general_element(3, 1, P210) == commutator(f32, f21)
     with pytest.raises(ValueError):
         general_element(2, 2, P210)
@@ -268,20 +268,9 @@ def test_module_element_is_built_once(monkeypatch):
                 module.element(i, j)
 
 
-def test_module_of_another_partition_is_refused():
-    module = GTModule(P110)
-    assert GTModule.of(P110, module) is module
-    assert GTModule.of(P210).partition == P210
-    with pytest.raises(ValueError, match="module is for 1,1,0, not 2,1,0"):
-        GTModule.of(P210, module)
-    with pytest.raises(ValueError):
-        verify_sln_relations(P210, module)
-    with pytest.raises(ValueError):
-        operator_matrix(GeneratorSpec("raise", 1), P210, module)
-
-
 def test_matrix_algebra():
-    e = operator_matrix(GeneratorSpec("raise", 1), P210)
+    e = operator_matrix(GeneratorSpec("raise", 1), GTModule(P210))
+    assert e.meta == (P210, "E", 1)
     ident = OperatorMatrix([{c: RadicalScalar.one()} for c in range(8)])
     zero = OperatorMatrix.zero(8)
     assert e @ ident == e
@@ -292,7 +281,7 @@ def test_matrix_algebra():
 
 def test_verify_sln_relations_small_cases():
     for parts in ([1, 0], [2, 1, 0], [1, 1, 1, 0]):
-        report = verify_sln_relations(Partition(parts))
+        report = verify_sln_relations(GTModule(Partition(parts)))
         assert report.passed, report.failures[:3]
         assert len(report.checks) > 0
         assert report.failures == []
@@ -306,12 +295,12 @@ def test_traces_vanish():
             for j in range(1, n + 1):
                 if i != j:
                     assert general_element(i, j, partition).trace().is_zero()
-            assert operator_matrix(GeneratorSpec("cartan", i), partition).trace().is_zero()
+            assert operator_matrix(GeneratorSpec("cartan", i), GTModule(partition)).trace().is_zero()
 
 
 def test_matrix_json_round_trip():
     for spec in (GeneratorSpec("raise", 2), GeneratorSpec("cartan", 1), GeneratorSpec("diag", 1)):
-        mat = operator_matrix(spec, P210)
+        mat = operator_matrix(spec, GTModule(P210))
         doc = matrix_to_json(mat)
         assert doc["partition"] == [2, 1, 0]
         assert doc["dim"] == 8
@@ -337,7 +326,7 @@ def test_matrix_json_round_trip():
 
 
 def test_matrix_market_format():
-    mat = operator_matrix(GeneratorSpec("raise", 1), P210)
+    mat = operator_matrix(GeneratorSpec("raise", 1), GTModule(P210))
     text = matrix_market(mat)
     lines = text.strip().split("\n")
     assert lines[0] == "%%MatrixMarket matrix coordinate real general"
@@ -410,7 +399,7 @@ def test_generator_columns_match_the_formula():
         basis = enumerate_patterns(partition)
         for kind, step in (("raise", 1), ("lower", -1)):
             for k in range(1, partition.n):
-                mat = operator_matrix(GeneratorSpec(kind, k), partition)
+                mat = operator_matrix(GeneratorSpec(kind, k), GTModule(partition))
                 for c, xi in enumerate(basis):
                     want = {basis.index(t): v for t, v in _formula_column(k, xi, step).items()}
                     assert mat.cols[c] == want, (parts, kind, k, xi)
@@ -461,7 +450,7 @@ def test_casimir_acts_as_scalar():
         zero = OperatorMatrix.zero(d)
         total = zero
         for i in range(1, n + 1):
-            h = operator_matrix(GeneratorSpec("diag", i), partition)
+            h = operator_matrix(GeneratorSpec("diag", i), GTModule(partition))
             total = total - (zero - h @ h)
             for j in range(1, n + 1):
                 if i != j:
@@ -473,11 +462,11 @@ def test_casimir_acts_as_scalar():
 
 
 def test_cancellation_stores_no_zeros():
-    e = operator_matrix(GeneratorSpec("raise", 1), P210)
+    e = operator_matrix(GeneratorSpec("raise", 1), GTModule(P210))
     for mat in (e - e, commutator(e, e)):
         assert list(mat.nonzeros()) == []
         assert mat == OperatorMatrix.zero(8)
-    f = operator_matrix(GeneratorSpec("lower", 1), P210)
+    f = operator_matrix(GeneratorSpec("lower", 1), GTModule(P210))
     h = commutator(e, f)
     assert all(not v.is_zero() for _, _, v in h.nonzeros())
 
@@ -485,7 +474,7 @@ def test_cancellation_stores_no_zeros():
 def test_dense_and_column_constructors_agree():
     # the dense view and the columns it is read from describe one matrix
     for spec in (GeneratorSpec("raise", 2), GeneratorSpec("cartan", 1)):
-        mat = operator_matrix(spec, P210)
+        mat = operator_matrix(spec, GTModule(P210))
         grid = mat.entries
         cols = [{r: row[c] for r, row in enumerate(grid) if not row[c].is_zero()}
                 for c in range(mat.dim)]
@@ -552,15 +541,15 @@ def test_relations_build_each_generator_once(monkeypatch):
     calls = []
     original = operators.operator_matrix
 
-    def counting(spec, partition, *rest):
+    def counting(spec, module):
         calls.append(spec)
-        return original(spec, partition, *rest)
+        return original(spec, module)
 
     monkeypatch.setattr(operators, "operator_matrix", counting)
     for parts in ([1, 0], [2, 1, 0], [2, 1, 1, 0]):
         calls.clear()
         n = len(parts)
-        assert verify_sln_relations(Partition(parts)).passed
+        assert verify_sln_relations(GTModule(Partition(parts))).passed
         assert len(calls) == 3 * n - 2
         kinds = [spec.kind for spec in calls]
         assert kinds.count("raise") == kinds.count("lower") == n - 1
@@ -577,18 +566,18 @@ def test_first_difference_is_row_major():
 
 def _oracle_relation_checks(partition):
     """The exhaustive relation loop with one commutator per ordered pair."""
-    n = partition.n
+    n, module = partition.n, GTModule(partition)
     build = operators.operator_matrix
     mats = {}
     for k in range(1, n):
-        mats[(k, k + 1)] = build(GeneratorSpec("raise", k), partition)
-        mats[(k + 1, k)] = build(GeneratorSpec("lower", k), partition)
+        mats[(k, k + 1)] = build(GeneratorSpec("raise", k), module)
+        mats[(k + 1, k)] = build(GeneratorSpec("lower", k), module)
     for gap in range(2, n):
         for i in range(1, n - gap + 1):
             j = i + gap
             mats[(i, j)] = commutator(mats[(i, i + 1)], mats[(i + 1, j)])
             mats[(j, i)] = commutator(mats[(j, j - 1)], mats[(j - 1, i)])
-    diags = {i: build(GeneratorSpec("diag", i), partition) for i in range(1, n + 1)}
+    diags = {i: build(GeneratorSpec("diag", i), module) for i in range(1, n + 1)}
     checks = []
 
     def record(name, got, want):
@@ -625,9 +614,9 @@ def _oracle_relation_checks(partition):
     return checks
 
 
-def _first_entry_of_e(partition, k=2):
+def _first_entry_of_e(module, k=2):
     """(row, column) of the first nonzero entry of E_k, column-major."""
-    e = operator_matrix(GeneratorSpec("raise", k), partition)
+    e = operator_matrix(GeneratorSpec("raise", k), module)
     c = next(c for c, col in enumerate(e.cols) if col)
     return min(e.cols[c]), c
 
@@ -652,10 +641,10 @@ def _plus(mat, extra):
     return mat - OperatorMatrix(cols)
 
 
-def _swapped_in_weight_space(mat, partition):
+def _swapped_in_weight_space(mat, module):
     """P·mat·P for the transposition P of the first two patterns of one weight."""
     first = {}
-    for i, pat in enumerate(enumerate_patterns(partition)):
+    for i, pat in enumerate(module.basis):
         j = first.setdefault(weight_of(pat), i)
         if j != i:
             break
@@ -704,12 +693,12 @@ def _corrupting(monkeypatch, corruption):
     doubled = {"scale_e": ("raise",), "scale_pair": ("raise", "lower")}.get(corruption, ())
     two = RadicalScalar.from_rational(2)
 
-    def corrupted(spec, partition, *rest):
+    def corrupted(spec, module):
         if spec.kind in swapped and spec.index in (1, 2):
             spec = GeneratorSpec(spec.kind, 3 - spec.index)
-        mat = original(spec, partition, *rest)
+        mat = original(spec, module)
         if spec.kind in scaled and spec.index == 2:
-            r, c = _first_entry_of_e(partition)
+            r, c = _first_entry_of_e(module)
             mat = _scaled(mat, *((r, c) if spec.kind == "raise" else (c, r)))
         if spec.kind in doubled and spec.index == 1:
             mat = OperatorMatrix(
@@ -720,10 +709,10 @@ def _corrupting(monkeypatch, corruption):
                   for r, v in col.items()}
                  for c, col in enumerate(mat.cols)])
         if corruption == "negate_both" and spec.kind in ("raise", "lower"):
-            r, c = _first_entry_of_e(partition, spec.index)
+            r, c = _first_entry_of_e(module, spec.index)
             mat = _negated(mat, *((r, c) if spec.kind == "raise" else (c, r)))
         if corruption == "permute_2" and spec.kind in ("raise", "lower") and spec.index == 2:
-            mat = _swapped_in_weight_space(mat, partition)
+            mat = _swapped_in_weight_space(mat, module)
         if spec.kind == "diag" and corruption in ADDED_TO_H:
             mat = _plus(mat, ADDED_TO_H[corruption](mat.dim))
         return mat
@@ -744,7 +733,7 @@ def test_relation_report_matches_exhaustive_oracle(monkeypatch, corruption):
     for parts in ([2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0], [1, 1, 1, 0, 0, 0],
                   [1, 0, 0, 0, 0, 0, 0]):
         partition = Partition(parts)
-        report = verify_sln_relations(partition)
+        report = verify_sln_relations(GTModule(partition))
         assert report.checks == _oracle_relation_checks(partition), (parts, corruption)
         assert report.passed == (corruption in PASSING)
         n = partition.n
@@ -776,8 +765,8 @@ def test_relation_report_matches_oracle_with_one_entry_changed(
     index = index % (n if kind == "diag" else n - 1) + 1
     original = operators.operator_matrix
 
-    def changed(spec, partition, *rest):
-        mat = original(spec, partition, *rest)
+    def changed(spec, module):
+        mat = original(spec, module)
         if (spec.kind, spec.index) != (kind, index):
             return mat
         cols = [dict(col) for col in mat.cols]
@@ -796,7 +785,7 @@ def test_relation_report_matches_oracle_with_one_entry_changed(
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(operators, "operator_matrix", changed)
-        report = verify_sln_relations(partition)
+        report = verify_sln_relations(GTModule(partition))
         assert report.checks == _oracle_relation_checks(partition)
 
 
@@ -807,7 +796,7 @@ def test_relation_gate_checks_brackets_of_distinct_rows(monkeypatch, parts):
     _corrupting(monkeypatch, "permute_2")
     partition = Partition(parts)
     module = GTModule(partition)
-    report = verify_sln_relations(partition, module)
+    report = verify_sln_relations(module)
     assert module.ladder_fault is None
     for k in range(1, partition.n):
         h = module.generator("diag", k) - module.generator("diag", k + 1)
@@ -846,7 +835,7 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
                 traces.clear()
                 subs.clear()
                 n = len(parts)
-                report = verify_sln_relations(Partition(parts))
+                report = verify_sln_relations(GTModule(Partition(parts)))
                 assert report.passed
                 if corruption is None:
                     # only the brackets [e_k, f_l] with k <= l; no non-adjacent
@@ -937,7 +926,7 @@ def test_intact_relations_multiply_each_distinct_pair_once(monkeypatch):
     monkeypatch.setattr(RadicalScalar, "__mul__", counting)
     partition = Partition([3, 2, 1, 0])
     module = GTModule(partition)
-    assert verify_sln_relations(partition, module).passed
+    assert verify_sln_relations(module).passed
     # each distinct (entry of A, entry of B) pair once per commutator, and
     # one root object per coefficient value
     assert len(calls) < 150

@@ -55,6 +55,8 @@ from golden_data import (
     pat,
     rad,
 )
+from test_cli import _count_calls
+from test_operators import _corrupting as _corrupting_by_name
 
 ONE = RadicalScalar.one()
 
@@ -117,7 +119,7 @@ def test_word_text_round_trip():
     # rows 10 and up: the label names both rows of the pair, "1011"
     word = GeneratorWord([(GeneratorSpec("raise", 10), 2), (GeneratorSpec("lower", 12), 1)])
     assert word.to_text() == "E1011^2 F1213^1"
-    family = monomials.monomial_family(Partition([2, 1] + [0] * 10))
+    family = monomials.monomial_family(GTModule(Partition([2, 1] + [0] * 10)))
     assert max(spec.index for w in family.words for spec, _ in w.factors) == 11
     texts = family.word_texts()
     assert any("F1011^" in t for t in texts) and any("F1112^" in t for t in texts)
@@ -269,21 +271,16 @@ def test_two_term_sum_420():
 
 
 def test_simplicity_certificate_small():
-    report = simplicity_certificate(P210)
+    module = GTModule(P210)
+    report = simplicity_certificate(module)
     assert report.certified
+    assert "ladder_fault" in vars(module)  # the verdict read the module it was given
     assert (report.raised, report.dim, report.rank) == (8, 8, 8)
     assert report.summary() == "CERTIFIED (8/8, rank 8)"
-    assert simplicity_certificate(Partition([1, 0])).certified
-    report320 = simplicity_certificate(P320)
+    assert simplicity_certificate(GTModule(Partition([1, 0]))).certified
+    report320 = simplicity_certificate(GTModule(P320))
     assert report320.certified
     assert (report320.raised, report320.rank) == (15, 15)
-
-
-def test_certificate_refuses_a_module_of_another_partition():
-    module = GTModule(P210)
-    assert simplicity_certificate(P210, module).certified
-    with pytest.raises(ValueError):
-        simplicity_certificate(P210, GTModule(Partition([1, 1, 0])))
 
 
 def test_raise_sum_reports_cancellation():
@@ -329,7 +326,7 @@ def test_word_validation():
     (lambda: Partition([2, 1, 0]), ("parts",)),
     (lambda: highest_pattern(Partition([2, 1, 0])), ("rows",)),
     (lambda: GeneratorWord([(GeneratorSpec("raise", 1), 2)]), ("factors",)),
-    (lambda: operator_matrix(GeneratorSpec("raise", 1), Partition([1, 0])),
+    (lambda: operator_matrix(GeneratorSpec("raise", 1), GTModule(Partition([1, 0]))),
      ("dim", "cols", "meta")),
     (lambda: sqrt_rational(2) + RadicalScalar.from_rational(1), ("terms", "den")),
     (lambda: GeneratorSpec("lower", 2), ("kind", "index")),
@@ -361,7 +358,7 @@ def _certificate_by_raising(partition):
         except CertificationError:
             pass
     family_rank = monomials.rank(
-        monomials.basis_matrix(monomials.monomial_family(partition, "canonical"))
+        monomials.basis_matrix(monomials.monomial_family(GTModule(partition), "canonical"))
     )
     return raised, family_rank, raised == len(basis) == family_rank
 
@@ -370,10 +367,10 @@ def test_certificate_diagonal_equals_verify_raise():
     partitions = [p for n in (2, 3, 4) for p in all_partitions(n, 3)]
     partitions += [Partition([2, 1, 1, 1, 0]), Partition([3, 2, 1, 0, 0])]
     for partition in partitions:
-        mat = monomials.basis_matrix(monomials.monomial_family(partition, "canonical"))
+        mat = monomials.basis_matrix(monomials.monomial_family(GTModule(partition), "canonical"))
         for c, xi in enumerate(enumerate_patterns(partition)):
             assert mat.cols[c][c] == verify_raise(xi), (partition, xi.to_string())
-        report = simplicity_certificate(partition)
+        report = simplicity_certificate(GTModule(partition))
         assert (report.raised, report.rank, report.certified) == (
             _certificate_by_raising(partition)
         ), partition
@@ -382,8 +379,8 @@ def test_certificate_diagonal_equals_verify_raise():
 def _by_basis_matrix(partition):
     """The report of the exact basis-matrix route, on the module as built."""
     module = GTModule(partition)
-    family = monomials.monomial_family(partition, "canonical", module.basis)
-    mat = monomials.basis_matrix(family, module)
+    family = monomials.monomial_family(module, "canonical")
+    mat = monomials.basis_matrix(family)
     failures = [(xi, "raising %s annihilated it" % xi.to_string())
                 for c, xi in enumerate(module.basis) if c not in mat.cols[c]]
     dim = len(module.basis)
@@ -419,7 +416,7 @@ def test_certificate_reports_a_zero_diagonal_entry(monkeypatch):
     assert GTModule(P210).lowering_positive
     expected = _by_basis_matrix(P210)
     calls = _counting_basis_matrix(monkeypatch)
-    report = simplicity_certificate(P210)
+    report = simplicity_certificate(GTModule(P210))
     assert len(calls) == 1
     assert report == expected
     failed = [pat(P210, "1,0;0"), pat(P210, "1,0;1")]
@@ -448,22 +445,46 @@ def test_certificate_falls_back_on_a_negated_entry(monkeypatch):
     for partition, want in zip(LADDER, expected):
         assert not GTModule(partition).lowering_positive
         calls.clear()
-        assert simplicity_certificate(partition) == want
+        assert simplicity_certificate(GTModule(partition)) == want
         assert len(calls) == 1
 
 
 def test_intact_certificate_builds_no_basis_matrix(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the certificate built a family or a basis matrix, or ranked one")
+        raise AssertionError("the certificate built a basis matrix or ranked one")
 
-    for name in ("basis_matrix", "rank", "monomial_family"):
+    families, original = [], monomials.monomial_family
+
+    def counted(*args):
+        families.append(args)
+        return original(*args)
+
+    for name in ("basis_matrix", "rank"):
         monkeypatch.setattr(monomials, name, forbidden)
+    monkeypatch.setattr(monomials, "monomial_family", counted)
     for partition in LADDER:
         module = GTModule(partition)
         dim = len(module.basis)
-        assert simplicity_certificate(partition, module) == SimplicityReport(
+        families.clear()
+        assert simplicity_certificate(module) == SimplicityReport(
             partition, dim, dim, [], dim)
         assert module.lowering_positive
+        assert families == [(module,)]  # the one canonical family, for its reached sets
+
+
+@pytest.mark.parametrize("corruption", [None, "negate_both"])
+def test_certificate_sweeps_each_pattern_once(monkeypatch, corruption):
+    # negate_both leaves an F_k entry negative, so the certificate falls back
+    # to the exact basis matrix; that reuses the exponents of the reached sets
+    _corrupting_by_name(monkeypatch, corruption)
+    calls = _count_calls(monkeypatch, raising.sweep_exponents)
+    for partition in LADDER:
+        module = GTModule(partition)
+        calls.clear()
+        report = simplicity_certificate(module)
+        assert module.lowering_positive == (corruption is None)
+        assert report.certified
+        assert [xi for xi, _ in calls] == module.basis, partition
 
 
 @pytest.mark.parametrize("parts", [[2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0], [9, 4, 2, 0]])
@@ -471,11 +492,11 @@ def test_reached_sets_are_the_basis_matrix_supports(parts):
     partition = Partition(parts)
     module = GTModule(partition)
     for schedule in ("canonical", "alternate"):
-        family = monomials.monomial_family(partition, schedule, module.basis)
-        mat = monomials.basis_matrix(family, module)
+        family = monomials.monomial_family(module, schedule)
+        mat = monomials.basis_matrix(family)
         order = monomials.resolve_schedule(partition.n, schedule)
-        exps = [sweep_exponents(p, order) for p in module.basis]
-        assert monomials.reached_sets(order, exps, module) == [frozenset(col) for col in mat.cols]
+        assert family.exponents == [tuple(sweep_exponents(p, order)) for p in module.basis]
+        assert monomials.reached_sets(family) == [frozenset(col) for col in mat.cols]
 
 
 def test_lowering_positivity_refuses_a_two_term_entry():
@@ -505,7 +526,7 @@ def test_verify_never_replays_raising_words(monkeypatch):
         monkeypatch.setattr(raising, name, forbidden)
     monkeypatch.setattr(operators, "apply_generator", forbidden)
     for partition in LADDER[:3]:
-        assert simplicity_certificate(partition).certified
+        assert simplicity_certificate(GTModule(partition)).certified
         result = CliRunner().invoke(main, ["verify", str(partition)])
         assert result.exit_code == 0 and "CERTIFIED" in result.output
 
@@ -514,12 +535,12 @@ def _corrupting(monkeypatch, corrupt):
     """Pass every (E_k, F_k) pair of each built module through corrupt."""
     original = operators.operator_matrix
 
-    def built(spec, partition, *rest):
-        mat = original(spec, partition, *rest)
+    def built(spec, module):
+        mat = original(spec, module)
         if spec.kind not in ("raise", "lower"):
             return mat
-        e = original(GeneratorSpec("raise", spec.index), partition, *rest)
-        f = original(GeneratorSpec("lower", spec.index), partition, *rest)
+        e = original(GeneratorSpec("raise", spec.index), module)
+        f = original(GeneratorSpec("lower", spec.index), module)
         return corrupt(e, f)[spec.kind == "lower"]
 
     monkeypatch.setattr(operators, "operator_matrix", built)
@@ -552,7 +573,7 @@ def test_certificate_rejects_a_corrupted_lowering_matrix(monkeypatch):
     _corrupting(monkeypatch, changed_f)
     for partition in LADDER:
         with pytest.raises(InternalConsistencyError, match="not the transpose"):
-            simplicity_certificate(partition)
+            simplicity_certificate(GTModule(partition))
 
 
 def test_certificate_rejects_a_misweighted_raising_matrix(monkeypatch):
@@ -567,11 +588,14 @@ def test_certificate_rejects_a_misweighted_raising_matrix(monkeypatch):
     _corrupting(monkeypatch, misweighted)
     for partition in LADDER:
         with pytest.raises(InternalConsistencyError, match="not one up in row"):
-            simplicity_certificate(partition)
+            simplicity_certificate(GTModule(partition))
 
 
-def test_certificate_rejects_a_shared_highest_weight():
+def test_certificate_rejects_a_shared_highest_weight(monkeypatch):
     beta = highest_pattern(P210)
-    module = GTModule(P210, enumerate_patterns(P210) + [beta])
+    monkeypatch.setattr(operators, "enumerate_patterns",
+                        lambda partition: enumerate_patterns(partition) + [beta])
+    module = GTModule(P210)
+    assert module.basis[-1] == beta == module.basis[module.beta]
     with pytest.raises(InternalConsistencyError, match="highest pattern"):
         _check_ladder(module)

@@ -159,6 +159,6 @@ def test_module_weights_drive_every_diagonal_generator(parts):
 def test_module_weights_are_read_only_when_asked_for():
     partition = Partition([3, 2, 1, 0])
     module = GTModule(partition)
-    basis_matrix(monomial_family(partition, "canonical", module.basis), module)
+    basis_matrix(monomial_family(module, "canonical"))
     assert "weights" not in vars(module)
     assert module.weights is module.weights
