@@ -684,8 +684,12 @@ def _corrupting(monkeypatch, corruption):
     F_2 by the transposition of two patterns of one weight: every H_i, the
     weight ladder, F_k = E_kᵀ and [e_k, f_k] = h_k still hold, but
     [e_1, f_2] = 0 fails on (2,1,0) and (3,2,1,0).  negate_both negates the
-    first entry of every E_k and the transposed entry of F_k.  The others
-    add a matrix to every H_i (ADDED_TO_H).
+    first entry of every E_k and the transposed entry of F_k.  sign_row3
+    negates the columns of E_1 and F_1 whose pattern has β's row 3: both
+    change row 1 only, so F_1 stays E_1ᵀ, and every H_i, the weight ladder
+    and every [e_k, f_l] with |k − l| ≤ 1 still hold; but E_1 now reads row
+    3, which f_3 changes, so at n ≥ 4 it is not local and [E(1,2),E(4,3)] = 0
+    fails.  The others add a matrix to every H_i (ADDED_TO_H).
     """
     original = operators.operator_matrix
     swapped = {"swap": ("raise",), "swap_both": ("raise", "lower")}.get(corruption, ())
@@ -713,6 +717,11 @@ def _corrupting(monkeypatch, corruption):
             mat = _negated(mat, *((r, c) if spec.kind == "raise" else (c, r)))
         if corruption == "permute_2" and spec.kind in ("raise", "lower") and spec.index == 2:
             mat = _swapped_in_weight_space(mat, module)
+        if corruption == "sign_row3" and spec.kind in ("raise", "lower") and spec.index == 1:
+            row3 = module.basis[module.beta].rows[2]
+            mat = OperatorMatrix(
+                [{r: -v for r, v in col.items()} if module.basis[c].rows[2] == row3 else col
+                 for c, col in enumerate(mat.cols)], meta=mat.meta)
         if spec.kind == "diag" and corruption in ADDED_TO_H:
             mat = _plus(mat, ADDED_TO_H[corruption](mat.dim))
         return mat
@@ -721,12 +730,16 @@ def _corrupting(monkeypatch, corruption):
 
 
 PASSING = (None, "conjugate_d", *ADDED_TO_H)
+# sign_row3 fails only where it makes E_1 read row 3: at n = 3 it negates all
+# of E_1 and F_1 (e_1 → −e_1, f_1 → −f_1 is an automorphism of sl_n), and on
+# (1,1,1,0,0,0) and (1,0,0,0,0,0,0) E_1 stays local and every relation holds
+SIGN_ROW3_FAILS = ([3, 2, 1, 0], [2, 1, 1, 1, 0])
 
 
 @pytest.mark.parametrize(
     "corruption",
     [None, "scale", "swap", "swap_both", "scale_both", "scale_e", "scale_pair", "conjugate_d",
-     *ADDED_TO_H],
+     "sign_row3", *ADDED_TO_H],
 )
 def test_relation_report_matches_exhaustive_oracle(monkeypatch, corruption):
     _corrupting(monkeypatch, corruption)
@@ -735,7 +748,8 @@ def test_relation_report_matches_exhaustive_oracle(monkeypatch, corruption):
         partition = Partition(parts)
         report = verify_sln_relations(GTModule(partition))
         assert report.checks == _oracle_relation_checks(partition), (parts, corruption)
-        assert report.passed == (corruption in PASSING)
+        assert report.passed == (corruption in PASSING or corruption == "sign_row3"
+                                 and parts not in SIGN_ROW3_FAILS)
         n = partition.n
         assert len(report.checks) == {3: 38, 4: 135, 5: 364, 6: 815, 7: 1602}[n]
 
@@ -806,6 +820,20 @@ def test_relation_gate_checks_brackets_of_distinct_rows(monkeypatch, parts):
     assert report.checks == _oracle_relation_checks(partition)
 
 
+@pytest.mark.parametrize("corruption, fault", [
+    (None, None),
+    ("permute_2", "E_2 moves 3,2,1,0;3,1,0;1,0;0 to 3,2,1,0;2,2,0;2,0;0, which changes "
+                  "a row other than 2"),
+    ("sign_row3", "E_1 differs on 3,2,1,0;2,1,0;2,1;1 and 3,2,1,0;3,2,1;2,1;1, which share "
+                  "rows 1 to 2"),
+])
+def test_locality_fault_names_the_first_nonlocal_entry(monkeypatch, corruption, fault):
+    _corrupting(monkeypatch, corruption)
+    module = GTModule(Partition([3, 2, 1, 0]))
+    assert module.ladder_fault is None
+    assert module.locality_fault == fault
+
+
 def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
     calls, traces, subs = [], [], []
     original, original_trace = operators.commutator, OperatorMatrix.trace
@@ -838,10 +866,11 @@ def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
                 report = verify_sln_relations(GTModule(Partition(parts)))
                 assert report.passed
                 if corruption is None:
-                    # only the brackets [e_k, f_l] with k <= l; no non-adjacent
-                    # E(i,j), and no trace: every trace check follows from them;
-                    # each bracket is compared with ints, so no matrix is subtracted
-                    assert len(calls) == n * (n - 1) // 2, parts
+                    # only the brackets [e_k, f_k] and [e_k, f_{k+1}], each at
+                    # one column per row window; no non-adjacent E(i,j), and no
+                    # trace: every trace check follows from them; each bracket
+                    # is compared with ints, so no matrix is subtracted
+                    assert len(calls) == 2 * n - 3, parts
                     assert not traces, parts
                     assert not subs, parts
                 else:
@@ -861,25 +890,45 @@ def _dense_commutator(a, b):
 
 
 KERNEL_MODULES = [[2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0]]
+KERNEL_CORRUPTIONS = [None, "negate_both", "conjugate_d", "tilt_h", "skew_h"]
 
 
-@pytest.mark.parametrize("corruption", [None, "negate_both", "conjugate_d", "tilt_h", "skew_h"])
+def _kernel_mats(module):
+    """Every generator, cartan difference and non-adjacent E(i,j) of the module."""
+    n = module.partition.n
+    mats = [module.generator(kind, k) for kind in ("raise", "lower", "cartan")
+            for k in range(1, n)]
+    mats += [module.generator("diag", i) for i in range(1, n + 1)]
+    mats += [module.element(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+             if abs(i - j) > 1]
+    return mats
+
+
+@pytest.mark.parametrize("corruption", KERNEL_CORRUPTIONS)
 def test_commutator_matches_products_on_every_pair(monkeypatch, corruption):
     _corrupting(monkeypatch, corruption)
     for parts in KERNEL_MODULES:
-        partition = Partition(parts)
-        module = GTModule(partition)
-        n = partition.n
-        mats = [module.generator(kind, k) for kind in ("raise", "lower", "cartan")
-                for k in range(1, n)]
-        mats += [module.generator("diag", i) for i in range(1, n + 1)]
-        mats += [module.element(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-                 if abs(i - j) > 1]
+        mats = _kernel_mats(GTModule(Partition(parts)))
         for a in mats:
             for b in mats:
                 got = commutator(a, b)
                 assert got == _dense_commutator(a, b), (parts, corruption, a, b)
                 assert all(v.terms for _, _, v in got.nonzeros())
+
+
+@pytest.mark.parametrize("corruption", KERNEL_CORRUPTIONS)
+def test_commutator_computes_only_the_listed_columns(monkeypatch, corruption):
+    _corrupting(monkeypatch, corruption)
+    for parts in KERNEL_MODULES:
+        mats = _kernel_mats(GTModule(Partition(parts)))
+        dim = mats[0].dim
+        for columns in ([], [dim - 1], range(dim - 1, -1, -3)):
+            for a in mats:
+                for b in mats:
+                    full, got = commutator(a, b), commutator(a, b, columns)
+                    assert got.dim == dim
+                    assert all(got.cols[c] == (full.cols[c] if c in columns else {})
+                               for c in range(dim)), (parts, corruption, a, b, columns)
 
 
 def test_commutator_hand_built_cases():
