@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .monomials import basis_matrix, family_to_json, monomial_family, rank
+from .monomials import family_rank, family_to_json, monomial_family
 from .operators import (
     GTModule,
     GeneratorSpec,
@@ -359,11 +359,11 @@ def raise_cmd(partition, pattern_text, fmt, output):
 def monomials(partition, schedule, strict, fmt, output):
     """Build the lowering-monomial family for PARTITION and rank it."""
     family = monomial_family(GTModule(partition), schedule)
-    family_rank = rank(basis_matrix(family))
+    r = family_rank(family)
     d = len(family.patterns)
-    is_basis = family_rank == d
+    is_basis = r == d
     if fmt == "json":
-        emit(dumps(family_to_json(family, family_rank)), output)
+        emit(dumps(family_to_json(family, r)), output)
     else:
         lines = ["# monomial family for %s, schedule %s" % (partition, schedule)]
         for pat, word, dup in zip(family.patterns, family.word_texts(), family.duplicate_of):
@@ -371,12 +371,12 @@ def monomials(partition, schedule, strict, fmt, output):
             if dup is not None:
                 line += "  [duplicate of %s]" % family.patterns[dup].to_string()
             lines.append(line)
-        lines.append("rank: %d" % family_rank)
+        lines.append("rank: %d" % r)
         if is_basis:
             lines.append("BASIS")
         else:
             dups = len(family.duplicates)
-            detail = "rank %d < dim %d" % (family_rank, d)
+            detail = "rank %d < dim %d" % (r, d)
             if dups:
                 detail += "; %d duplicate word%s" % (dups, "" if dups == 1 else "s")
             lines.append("NOT A BASIS (%s)" % detail)

@@ -1,10 +1,12 @@
 """Monomial families: mirrored lowering words applied to the highest pattern.
 
 Each pattern's raising word, read backwards with raises turned into lowers,
-is a lowering monomial; applying all of them to β and measuring the exact
-rank of the resulting columns decides whether the family is a basis.
-Duplicate words are kept, not deduplicated — the family is whatever the
-schedule produces, and the rank check measures exactly that.
+is a lowering monomial; the rank of their images of β decides whether the
+family is a basis.  ``family_rank`` reads that rank from the patterns each
+word reaches when the family has no repeated word and every F_k entry is
+positive, and otherwise ranks the exact basis matrix.  Duplicate words are
+kept, not deduplicated — the family is whatever the schedule produces, and
+the rank check measures exactly that.
 """
 
 from __future__ import annotations
@@ -147,8 +149,49 @@ def reached_sets(family: MonomialFamily) -> list[frozenset]:
     return walk(family.order, family.exponents, frozenset([module.beta]), reach)
 
 
-def _float_rank(mat: OperatorMatrix) -> int:
-    """Singular values above 1e-9, counted one connected block at a time.
+def lower_triangular(supports) -> bool:
+    """Whether support c holds index c and none below it, for every c.
+
+    Read from the keys alone: columns so supported form a lower-triangular
+    matrix with a nonzero diagonal, whose rank is its number of columns.
+    """
+    return all(min(s, default=None) == c for c, s in enumerate(supports))
+
+
+def float_columns(family: MonomialFamily) -> list[dict[int, float]]:
+    """The family's basis-matrix columns in floating point, by one ``walk``.
+
+    Each F_k's entries are converted once per shared root object (keyed by
+    ``id`` while the matrices hold them).  A step adds every product into
+    its row and drops no row, whatever its value, so the keys of each
+    column are exactly that word's ``reached_sets`` entry.
+    """
+    module, floats = family.module, {}
+
+    def to_float(v):
+        f = floats.get(id(v))
+        if f is None:
+            f = floats[id(v)] = v.to_float()
+        return f
+
+    mats = {r: [{i: to_float(v) for i, v in col.items()}
+                for col in module.generator("lower", r).cols]
+            for r in set(family.order)}
+
+    def step(r, vec):
+        cols, out = mats[r], {}
+        for c, x in vec.items():
+            for i, f in cols[c].items():
+                out[i] = out.get(i, 0.0) + f * x
+        return out
+
+    return walk(family.order, family.exponents, {module.beta: 1.0}, step)
+
+
+def _float_rank(cols, to_float=RadicalScalar.to_float) -> int:
+    """Singular values above 1e-9 of the square matrix with these sparse
+    columns ``{row: value}``, each value read through ``to_float``, counted
+    one connected block at a time.
 
     Rows that share a nonzero column are joined (union-find, O(nnz)); each
     class with its columns is a block, and permuting rows and columns makes
@@ -159,38 +202,38 @@ def _float_rank(mat: OperatorMatrix) -> int:
     """
     import numpy as np
 
-    parent = list(range(mat.dim))
+    parent = list(range(len(cols)))
 
     def find(r):
         while parent[r] != r:
             parent[r] = r = parent[parent[r]]
         return r
 
-    for col in mat.cols:
+    for col in cols:
         rows = iter(col)
         first = next(rows, None)
         for r in rows:
             parent[find(r)] = find(first)
     blocks: dict[int, tuple[list[int], list[int]]] = {}  # root -> (rows, cols)
-    for r in sorted(set().union(*mat.cols)):
+    for r in sorted(set().union(*cols)):
         blocks.setdefault(find(r), ([], []))[0].append(r)
-    for c, col in enumerate(mat.cols):
+    for c, col in enumerate(cols):
         if col:
             blocks[find(next(iter(col)))][1].append(c)
-    pos = [0] * mat.dim  # row -> its index within its block
+    pos = [0] * len(cols)  # row -> its index within its block
     by_shape: dict[tuple[int, int], list[list[int]]] = {}
-    for rows, cols in blocks.values():
+    for rows, members in blocks.values():
         for i, r in enumerate(rows):
             pos[r] = i
-        by_shape.setdefault((len(rows), len(cols)), []).append(cols)
+        by_shape.setdefault((len(rows), len(members)), []).append(members)
     approx = 0
     for (nr, nc), group in by_shape.items():
         at, vals = [], []  # flat index into the stack, and value, per nonzero
-        for b, cols in enumerate(group):
-            for j, c in enumerate(cols, b * nr * nc):
-                for r, v in mat.cols[c].items():
+        for b, block in enumerate(group):
+            for j, c in enumerate(block, b * nr * nc):
+                for r, v in cols[c].items():
                     at.append(j + pos[r] * nc)
-                    vals.append(v.to_float())
+                    vals.append(to_float(v))
         stack = np.zeros(len(group) * nr * nc)
         stack[at] = vals
         sv = np.linalg.svd(stack.reshape(-1, nr, nc), compute_uv=False)
@@ -210,11 +253,12 @@ def rank(mat: OperatorMatrix) -> int:
     alternate benchmark pass), while a canonical family has none.  The
     rank is the number of kept columns.  A lower-triangular
     matrix with nonzero diagonal, such as every canonical family, keeps
-    each column as it is, with no division.  The float check
-    (``_float_rank``) counts singular values above 1e-9 block by block, and
-    any disagreement is an internal error — the two computations share no
-    code.  It takes one SVD per connected block of the matrix, each at most
-    a weight space in size, never one of the whole d×d matrix.
+    each column as it is, with no division; ``family_rank`` decides an
+    intact canonical family without building its matrix at all.  The float
+    check (``_float_rank``) counts singular values above 1e-9 block by
+    block, and any disagreement is an internal error — the two computations
+    share no code.  It takes one SVD per connected block of the matrix, each
+    at most a weight space in size, never one of the whole d×d matrix.
     """
     kept: dict[int, dict[int, RadicalScalar]] = {}  # leading row -> column
     for col in mat.cols:
@@ -230,14 +274,36 @@ def rank(mat: OperatorMatrix) -> int:
             lead = min(v, default=None)
         if v:
             kept[lead] = v
-    exact = len(kept)
+    return _cross_checked(len(kept), _float_rank(mat.cols))
 
-    approx = _float_rank(mat)
+
+def _cross_checked(exact: int, approx: int) -> int:
     if approx != exact:
         raise InternalConsistencyError(
             "exact rank %d disagrees with float rank %d" % (exact, approx)
         )
     return exact
+
+
+def family_rank(family: MonomialFamily) -> int:
+    """The rank of ``basis_matrix(family)``, from supports where that is sound.
+
+    When no word repeats and ``module.lowering_positive`` holds, every entry
+    of a column is a sum of positive path products, which cannot vanish, so
+    a column's support is the set of patterns its word reaches: the keys of
+    its ``float_columns`` entry, where no key is dropped.  If those supports
+    are ``lower_triangular``, the rank is the dimension, read from the keys
+    alone.  The float values are an independent computation of the same
+    sums, and ``_float_rank`` of them must be the dimension as well.  Any
+    other family (a repeated word, a non-positive entry, another shape) is
+    ranked by ``rank(basis_matrix(family))``.
+    """
+    dim = len(family.patterns)
+    if all(d is None for d in family.duplicate_of) and family.module.lowering_positive:
+        cols = float_columns(family)
+        if lower_triangular(cols):
+            return _cross_checked(dim, _float_rank(cols, float))
+    return rank(basis_matrix(family))
 
 
 def _entries(family: MonomialFamily) -> list[dict]:
@@ -266,11 +332,13 @@ def family_from_json(data: dict) -> MonomialFamily:
     entries must be exactly the ones ``family_to_json`` writes for it.
     Their count is tested first, so a short document never enumerates a
     large module.  ``is_basis`` must be the bool rank == dim, and the rank a
-    ``json_int`` equal to ``rank(basis_matrix(family))``, recomputed.
+    ``json_int`` equal to ``family_rank(family)``, recomputed: from the
+    reached patterns for an intact canonical family, from the exact basis
+    matrix otherwise.
     """
     try:
         partition, entries = Partition.from_json(data["partition"]), data["entries"]
-        dim, family_rank = dimension(partition), json_int(data["rank"])
+        dim, claimed = dimension(partition), json_int(data["rank"])
         if len(entries) != dim:
             raise ValueError("%d entries for a module of dimension %d" % (len(entries), dim))
         family = monomial_family(GTModule(partition), data["schedule"])
@@ -282,7 +350,7 @@ def family_from_json(data: dict) -> MonomialFamily:
     if not same:
         raise ValueError("entries are not the %s family of %s"
                          % (family.schedule, partition))
-    if is_basis is not (family_rank == dim) or family_rank != rank(basis_matrix(family)):
+    if is_basis is not (claimed == dim) or claimed != family_rank(family):
         raise ValueError("rank %d and is_basis %r do not fit the %s family of %s"
-                         % (family_rank, is_basis, family.schedule, partition))
+                         % (claimed, is_basis, family.schedule, partition))
     return family

@@ -254,10 +254,8 @@ def simplicity_certificate(module: GTModule) -> SimplicityReport:
     _check_ladder(module)
     partition, dim = module.partition, len(module.basis)
     family = monomials.monomial_family(module)
-    if module.lowering_positive and all(
-        min(reached, default=None) == c
-        for c, reached in enumerate(monomials.reached_sets(family))
-    ):
+    if module.lowering_positive and monomials.lower_triangular(
+            monomials.reached_sets(family)):
         return SimplicityReport(partition, dim, dim, [], dim)
     mat = monomials.basis_matrix(family)
     failures = [

@@ -15,9 +15,12 @@ from gtbasis.monomials import (
     _float_rank,
     basis_matrix,
     family_from_json,
+    family_rank,
     family_to_json,
+    float_columns,
     monomial_family,
     rank,
+    reached_sets,
 )
 from gtbasis.operators import (
     GTModule,
@@ -42,6 +45,7 @@ from golden_data import (
     all_partitions,
     pat,
 )
+from test_operators import _corrupting
 
 
 def _family_word(xi):
@@ -438,7 +442,7 @@ def _dense_float_rank(mat):
 @given(_dependent_matrices())
 def test_rank_matches_reference_elimination(mat):
     assert rank(mat) == _reference_rank(mat)
-    assert _float_rank(mat) == _dense_float_rank(mat)
+    assert _float_rank(mat.cols) == _dense_float_rank(mat)
 
 
 def test_rank_edge_cases():
@@ -473,7 +477,7 @@ _LARGE_CANONICAL = [Partition(parts)
 def test_float_rank_counts_as_the_dense_svd_on_canonical_matrices():
     for partition in _LARGE_CANONICAL:
         mat = basis_matrix(monomial_family(GTModule(partition), "canonical"))
-        assert _float_rank(mat) == _dense_float_rank(mat) == mat.dim, partition
+        assert _float_rank(mat.cols) == _dense_float_rank(mat) == mat.dim, partition
 
 
 def test_float_check_fires_inside_a_block():
@@ -503,6 +507,128 @@ def test_float_check_never_sees_the_whole_matrix(monkeypatch):
     assert rank(mat) == mat.dim == 343
     assert shapes and largest < mat.dim
     assert all(max(shape[-2:]) <= largest for shape in shapes), (largest, shapes)
+
+
+def _rank_or_error(ranker, family):
+    try:
+        return ranker(family)
+    except InternalConsistencyError:
+        return InternalConsistencyError
+
+
+def test_family_rank_is_the_basis_matrix_rank():
+    """Alternate (8,1,0), (8,2,0) and (8,7,0) fail the float cross-check;
+    they still take the exact path, so they fail the same way."""
+    partitions = all_partitions(3, 8) + [Partition([3, 2, 1, 0]), Partition([2, 1, 1, 1, 0])]
+    cases = [(p, s) for p in partitions for s in ("canonical", "alternate")]
+    # alternate (9,4,2,0) fails the float cross-check as well, after a long rank
+    cases.append((Partition([9, 4, 2, 0]), "canonical"))
+    for partition, schedule in cases:
+        family = monomial_family(GTModule(partition), schedule)
+        got = _rank_or_error(family_rank, family)
+        assert got == _rank_or_error(lambda f: rank(basis_matrix(f)), family)
+        if got is InternalConsistencyError:
+            assert schedule == "alternate", partition
+        else:
+            assert got == family.distinct_count, (partition, schedule)
+
+
+@pytest.mark.parametrize("parts", [[2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0], [9, 4, 2, 0]])
+def test_float_walk_keys_are_the_reached_sets(parts):
+    module = GTModule(Partition(parts))
+    for schedule in ("canonical", "alternate"):
+        family = monomial_family(module, schedule)
+        assert [set(col) for col in float_columns(family)] == [
+            set(reached) for reached in reached_sets(family)]
+
+
+def test_float_walk_values_match_the_exact_columns():
+    for partition in _LARGE_CANONICAL:
+        family = monomial_family(GTModule(partition), "canonical")
+        exact = basis_matrix(family)
+        for col, want in zip(float_columns(family), exact.cols):
+            assert col.keys() == want.keys(), partition
+            for r, v in want.items():
+                assert abs(col[r] - float(v)) <= 1e-12 * abs(float(v)), (partition, r)
+
+
+def test_intact_canonical_family_rank_builds_no_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the exact basis matrix was built")
+
+    products, shapes = [], []
+    original_mul, original_svd = RadicalScalar.__mul__, numpy.linalg.svd
+
+    def counting(a, b):
+        products.append((a, b))
+        return original_mul(a, b)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(numpy.shape(a))
+        return original_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(monomials, "basis_matrix", forbidden)
+    monkeypatch.setattr(RadicalScalar, "__mul__", counting)
+    monkeypatch.setattr(numpy.linalg, "svd", recording)
+    for parts in ([2, 1, 0], [12, 6, 0], [5, 3, 2, 0], [3, 2, 1, 0, 0]):
+        family = monomial_family(GTModule(Partition(parts)), "canonical")
+        shapes.clear()
+        assert family_rank(family) == len(family.patterns), parts
+        assert products == [] and shapes, parts
+
+
+def test_family_rank_cross_checks_the_float_walk(monkeypatch):
+    """Singular values of 0 from the float walk's blocks are an internal
+    error on the fast path too, as they are for the exact rank."""
+    monkeypatch.setattr(numpy.linalg, "svd",
+                        lambda a, compute_uv: numpy.zeros(numpy.shape(a)[:-1]))
+    family = monomial_family(GTModule(P210), "canonical")
+    with pytest.raises(InternalConsistencyError,
+                       match="exact rank 8 disagrees with float rank 0"):
+        family_rank(family)
+
+
+def _counted_basis_matrices(monkeypatch):
+    built, original = [], monomials.basis_matrix
+
+    def counting(family):
+        built.append(family)
+        return original(family)
+
+    monkeypatch.setattr(monomials, "basis_matrix", counting)
+    return built
+
+
+def test_family_rank_falls_back_on_repeated_words(monkeypatch):
+    built = _counted_basis_matrices(monkeypatch)
+    monkeypatch.setattr(monomials, "float_columns", None)  # the walk is never run
+    family = monomial_family(GTModule(Partition([3, 2, 1, 0])), "alternate")
+    assert family_rank(family) == family.distinct_count == 42
+    assert built == [family]
+
+
+def test_family_rank_falls_back_on_a_negated_entry(monkeypatch):
+    _corrupting(monkeypatch, "negate_both")
+    built = _counted_basis_matrices(monkeypatch)
+    for parts in ([2, 1, 0], [3, 2, 1, 0], [2, 1, 1, 1, 0]):
+        family = monomial_family(GTModule(Partition(parts)), "canonical")
+        built.clear()
+        assert not family.module.lowering_positive
+        assert family_rank(family) == len(family.patterns), parts
+        assert built == [family], parts
+
+
+def test_family_rank_falls_back_on_columns_out_of_triangular_order(monkeypatch):
+    """Reversed, the canonical words are distinct and every F_k entry is
+    positive, but the supports are not lower-triangular."""
+    built = _counted_basis_matrices(monkeypatch)
+    module = GTModule(Partition([3, 2, 1, 0]))
+    canonical = monomial_family(module, "canonical")
+    family = MonomialFamily(module, "canonical", canonical.exponents[::-1],
+                            canonical.duplicate_of)
+    assert module.lowering_positive
+    assert family_rank(family) == len(family.patterns) == 64
+    assert built == [family]
 
 
 def test_family_json_round_trip():
