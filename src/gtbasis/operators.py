@@ -27,6 +27,9 @@ class InternalConsistencyError(RuntimeError):
     """A formula produced something impossible (zero denominator, bad sign)."""
 
 
+Pair = tuple[int, int]
+
+
 def _act(rows, k: int, step: int, roots: dict, shifts: dict) -> list:
     """(new row k, coefficient) pairs of raising (step=1) or lowering (step=-1) row k.
 
@@ -220,8 +223,9 @@ class OperatorMatrix:
 
     def transpose(self) -> "OperatorMatrix":
         cols: list[dict[int, RadicalScalar]] = [{} for _ in self.cols]
-        for r, c, v in self.nonzeros():
-            cols[r][c] = v
+        for c, col in enumerate(self.cols):
+            for r, v in col.items():
+                cols[r][c] = v
         return OperatorMatrix(cols)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -289,7 +293,9 @@ class GTModule:
     Holds the basis (enumerated once, in ascending order), the
     ``{rows: index}`` map, β's index, the square roots of the generator
     coefficients met so far, each basis pattern's weight (κ_1, ..., κ_n),
-    read on first use, and each generator matrix and E(i,j), built on first
+    read on first use, each row k's lowering columns ``_lowering[k]``, the
+    columns of F_k, which ``operator_matrix`` computes once and reads for
+    both E_k and F_k, and each generator matrix and E(i,j), built on first
     use.  Every verdict takes its module, not the partition.  Nothing is
     kept between verdicts.
     """
@@ -301,6 +307,7 @@ class GTModule:
         self.beta = self.index[highest_pattern(partition).rows]
         self.roots: dict[tuple[int, int], RadicalScalar] = {}  # reduced (num, den)
         self.shifts: dict[tuple[int, ...], list[int]] = {}  # row -> shifted entries
+        self._lowering: dict[int, tuple[dict[int, RadicalScalar], ...]] = {}  # k -> F_k's cols
         self._mats: dict[tuple, OperatorMatrix] = {}  # (kind, index) or (i, j)
 
     @cached_property
@@ -308,30 +315,24 @@ class GTModule:
         return [weight_of(pat) for pat in self.basis]
 
     @cached_property
+    def _structure(self) -> tuple[str | None, str | None, dict[Pair, list[int]]]:
+        """``_raising_structure(self)``: the one pass over every E_k."""
+        return _raising_structure(self)
+
+    @cached_property
     def ladder_fault(self) -> str | None:
         """The first break in the weight ladder of the E_k and F_k, or None.
 
         Checked in order, in O(nnz): β's weight is unique to it; then for
         k = 1, ..., n−1, every entry of E_k moves ``weights`` by
-        +α_k = ε_k − ε_{k+1}, and F_k = E_kᵀ.  The relation gate and the
-        simplicity certificate both read this.
+        +α_k = ε_k − ε_{k+1}, and F_k = E_kᵀ, in the one pass over the E_k
+        (``_raising_structure``).  The relation gate and the simplicity
+        certificate both read this.
         """
         weights = self.weights
         if weights.count(weights[self.beta]) != 1:
             return "the weight of the highest pattern is not unique to it"
-        for k in range(1, self.partition.n):
-            e = self.generator("raise", k)
-            for c, col in enumerate(e.cols):
-                if col:
-                    w = weights[c]
-                    up = (*w[: k - 1], w[k - 1] + 1, w[k] - 1, *w[k + 1 :])
-                    for r in col:
-                        if weights[r] != up:
-                            return "E_%d moves %s to %s, not one up in row %d only" % (
-                                k, self.basis[c].to_string(), self.basis[r].to_string(), k)
-            if self.generator("lower", k) != e.transpose():
-                return "F_%d is not the transpose of E_%d" % (k, k)
-        return None
+        return self._structure[0]
 
     @cached_property
     def locality_fault(self) -> str | None:
@@ -340,27 +341,10 @@ class GTModule:
         E_k is local when every entry changes only row k of its source
         pattern, and any two columns whose patterns share rows k−1, k and
         k+1 (``rows[k-2:k+1]``) hold the same (new row k, value) pairs.
-        Checked in O(nnz) for k = 1, ..., n−1: each column's pairs are
-        compared with those of the first column of its window, each value
-        by identity first and then by value.  The relation gate reads this.
+        Checked in O(nnz) for k = 1, ..., n−1, in the one pass over the E_k
+        (``_raising_structure``).  The relation gate reads this.
         """
-        basis = self.basis
-        for k in range(1, self.partition.n):
-            lo, first = max(k - 2, 0), {}
-            for c, col in enumerate(self.generator("raise", k).cols):
-                rows, pairs = basis[c].rows, {}
-                below, above = rows[:k - 1], rows[k:]
-                for r, v in col.items():
-                    target = basis[r].rows
-                    if target[:k - 1] != below or target[k:] != above:
-                        return "E_%d moves %s to %s, which changes a row other than %d" % (
-                            k, basis[c].to_string(), basis[r].to_string(), k)
-                    pairs[target[k - 1]] = v
-                seen, known = first.setdefault(rows[lo:k + 1], (c, pairs))
-                if known is not pairs and known != pairs:  # dict ==: identity, then value
-                    return "E_%d differs on %s and %s, which share rows %d to %d" % (
-                        k, basis[seen].to_string(), basis[c].to_string(), lo + 1, k + 1)
-        return None
+        return self._structure[1]
 
     @cached_property
     def lowering_positive(self) -> bool:
@@ -369,9 +353,9 @@ class GTModule:
         Each distinct entry object is checked once, keyed by ``id`` while
         the matrices hold them: on an intact module the entries are the few
         shared objects of ``roots``.  Such an entry is a positive real, so a
-        sum of products of them never vanishes; the simplicity certificate
+        sum of products of them never vanishes.  The simplicity certificate
         reads this before it decides a column's support by reachability
-        alone.
+        alone, and ``monomials.family_rank`` before it decides a rank so.
         """
         entries = {id(v): v for k in range(1, self.partition.n)
                    for col in self.generator("lower", k).cols for v in col.values()}
@@ -402,26 +386,39 @@ class GTModule:
 
 
 def operator_matrix(spec: GeneratorSpec, module: GTModule) -> OperatorMatrix:
-    """Matrix of a generator over the ascending pattern basis of the module."""
+    """Matrix of a generator over the ascending pattern basis of the module.
+
+    E_k and F_k both read ``module._lowering[k]``, row k's lowering columns,
+    computed on first use with ``_act`` (step −1) once per distinct
+    ``rows[k-2:k+1]``.  F_k holds those columns, and E_k is their
+    transpose: in the orthonormal Gelfand–Tsetlin basis F_k = E_kᵀ (which
+    ``GTModule.ladder_fault`` checks), so both hold the same root objects,
+    each keeps its own ``meta``, and no raising coefficient is evaluated.
+    """
     spec.check_range(module.partition.n)
-    index, k = module.index, spec.index
+    k = spec.index
     if spec.kind in ("raise", "lower"):
-        step, roots, shifts = (1 if spec.kind == "raise" else -1), module.roots, module.shifts
-        acts: dict[tuple, list] = {}  # rows k−1..k+1 -> _act's pairs
-        cols = []
-        lo = max(k - 2, 0)
-        for pat in module.basis:
-            rows = pat.rows
-            hood = rows[lo:k + 1]
-            pairs = acts.get(hood)
-            if pairs is None:
-                pairs = acts[hood] = _act(rows, k, step, roots, shifts)
-            col = {}
-            for row, v in pairs:
-                target = list(rows)
-                target[k - 1] = row
-                col[index[tuple(target)]] = v
-            cols.append(col)
+        cols = module._lowering.get(k)
+        if cols is None:
+            index, roots, shifts = module.index, module.roots, module.shifts
+            acts: dict[tuple, list] = {}  # rows k−1..k+1 -> _act's pairs
+            cols = []
+            lo = max(k - 2, 0)
+            for pat in module.basis:
+                rows = pat.rows
+                hood = rows[lo:k + 1]
+                pairs = acts.get(hood)
+                if pairs is None:
+                    pairs = acts[hood] = _act(rows, k, -1, roots, shifts)
+                col = {}
+                for row, v in pairs:
+                    target = list(rows)
+                    target[k - 1] = row
+                    col[index[tuple(target)]] = v
+                cols.append(col)
+            cols = module._lowering[k] = tuple(cols)
+        if spec.kind == "raise":
+            cols = OperatorMatrix(cols).transpose().cols
     else:  # H_k: κ_k; cartan k: κ_k − κ_{k+1}
         cartan = spec.kind == "cartan"
         evs = [w[k - 1] - (w[k] if cartan else 0) for w in module.weights]
@@ -429,6 +426,63 @@ def operator_matrix(spec: GeneratorSpec, module: GTModule) -> OperatorMatrix:
         cols = [{c: scalars[ev]} if ev else {} for c, ev in enumerate(evs)]
     meta = (module.partition, spec.LETTERS[spec.kind], spec.index)
     return OperatorMatrix(cols, meta=meta)
+
+
+def _raising_structure(module: GTModule) -> tuple[str | None, str | None, dict[Pair, list[int]]]:
+    """(ladder fault, locality fault, window columns) from one pass over the E_k.
+
+    For k = 1, ..., n−1, each entry of E_k is checked to move
+    ``module.weights`` by +α_k and to change only row k of its source, and
+    is looked up in F_k, by identity first and then by value; after the
+    walk, F_k = E_kᵀ when every entry was found and F_k holds as many
+    entries as E_k.  Each column's (new row k, value) pairs are compared
+    with those of the first column of its window ``rows[k-2:k+1]``, by
+    identity first and then by value.  Each fault is the first one met in
+    that order, so the ladder fault of E_k comes before that of F_k = E_kᵀ.
+    The first column of each ``rows[k-2:k+1]`` and ``rows[k-2:k+2]`` window
+    is recorded under (k, k) and (k, k + 1), the columns at which the gate
+    computes [e_k, f_k] and [e_k, f_{k+1}].  The walk stops after the first
+    E_k at which both faults are known, so the windows are complete only
+    when neither is.
+    """
+    basis, weights, n = module.basis, module.weights, module.partition.n
+    rows_of = [pat.rows for pat in basis]
+    ladder = locality = None
+    windows: dict[Pair, list[int]] = {}
+    for k in range(1, n):
+        lo, first, wide, nnz, transposed = max(k - 2, 0), {}, {}, 0, True
+        f = module.generator("lower", k).cols
+        for c, col in enumerate(module.generator("raise", k).cols):
+            rows, pairs, w = rows_of[c], {}, weights[c]
+            below, above = rows[:k - 1], rows[k:]
+            up = (*w[: k - 1], w[k - 1] + 1, w[k] - 1, *w[k + 1 :])
+            for r, v in col.items():
+                target = rows_of[r]
+                if ladder is None:
+                    if weights[r] != up:
+                        ladder = "E_%d moves %s to %s, not one up in row %d only" % (
+                            k, basis[c].to_string(), basis[r].to_string(), k)
+                    elif transposed:
+                        x = f[r].get(c)
+                        transposed = x is v or x is not None and x == v
+                if locality is None and (target[:k - 1] != below or target[k:] != above):
+                    locality = "E_%d moves %s to %s, which changes a row other than %d" % (
+                        k, basis[c].to_string(), basis[r].to_string(), k)
+                pairs[target[k - 1]] = v
+            nnz += len(col)
+            seen, known = first.setdefault(rows[lo:k + 1], (c, pairs))
+            if locality is None and known is not pairs and known != pairs:
+                locality = "E_%d differs on %s and %s, which share rows %d to %d" % (
+                    k, basis[seen].to_string(), basis[c].to_string(), lo + 1, k + 1)
+            if k + 1 < n:
+                wide.setdefault(rows[lo:k + 2], c)
+        if ladder is None and (not transposed or nnz != sum(map(len, f))):
+            ladder = "F_%d is not the transpose of E_%d" % (k, k)
+        if ladder is not None and locality is not None:
+            break
+        windows[k, k] = [c for c, _ in first.values()]
+        windows[k, k + 1] = list(wide.values())
+    return ladder, locality, windows
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix, columns=None) -> OperatorMatrix:
@@ -475,9 +529,6 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix, columns=None) -> OperatorMa
                     out[r] = acc - prod
         cols[c] = {r: v for r, v in out.items() if v.terms}
     return OperatorMatrix(cols)
-
-
-Pair = tuple[int, int]
 
 
 def general_element(i: int, j: int, partition: Partition) -> OperatorMatrix:
@@ -590,7 +641,8 @@ def verify_sln_relations(module: GTModule) -> RelationReport:
     pairs, and κ_k − κ_{k+1} depend only on rows k−1..k+1 of ξ, and the
     column of [e_k, f_{k+1}] only on rows k−1..k+2.  So each of the 2n − 3
     brackets is computed at one column per distinct window,
-    ``rows[k-2:k+1]`` or ``rows[k-2:k+2]``, by
+    ``rows[k-2:k+1]`` or ``rows[k-2:k+2]``, as recorded by the same pass
+    over the e_k that decides both faults, by
     ``commutator(e_k, f_l, columns)``: [e_k, f_k] is compared with
     κ_k − κ_{k+1} as ints, which is h_k since every H_i was just checked
     exactly, and [e_k, f_{k+1}] with zero, so the gate subtracts no
@@ -621,14 +673,8 @@ def verify_sln_relations(module: GTModule) -> RelationReport:
     idx = range(1, n + 1)
     diags = {i: module.generator("diag", i) for i in idx}
 
-    def window_columns(lo: int, hi: int) -> list[int]:  # first column of each rows[lo:hi]
-        first: dict[tuple, int] = {}
-        for c, pat in enumerate(basis):
-            first.setdefault(pat.rows[lo:hi], c)
-        return list(first.values())
-
     def bracket_holds(k: int, l: int) -> bool:  # [e_k, f_l] = δ_kl diag(κ_k − κ_{k+1})
-        columns = window_columns(max(k - 2, 0), l + 1)
+        columns = module._structure[2][k, l]
         got = commutator(element(k, k + 1), element(l + 1, l), columns)
         if k == l:
             return _is_diagonal(got, [(c, weights[c][k - 1] - weights[c][k]) for c in columns])

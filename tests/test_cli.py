@@ -7,6 +7,7 @@ formats, file output, and the exit-code contract (0 success/certified,
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -22,12 +23,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtbasis import patterns
+from gtbasis import operators, patterns
 from gtbasis.cli import emit, main
 from gtbasis.operators import (
     GTModule,
     GeneratorSpec,
-    OperatorMatrix,
     matrix_from_json,
     operator_matrix,
 )
@@ -576,18 +576,50 @@ def test_each_verdict_enumerates_the_basis_once(monkeypatch, args):
 
 @pytest.mark.parametrize("parts", ["2,1,0", "3,2,1,0", "2,1,1,1,0", "3,2,1,0,0,0"])
 def test_verify_checks_each_weight_ladder_once(monkeypatch, parts):
-    # the relation gate and the certificate share GTModule.ladder_fault:
-    # one E_k transpose per k, not one for each
+    # the relation gate and the certificate share GTModule.ladder_fault,
+    # locality_fault and the gate's window columns: one pass over the E_k
     calls = []
-    original = OperatorMatrix.transpose
+    original = operators._raising_structure
 
-    def counting(mat):
-        calls.append(mat)
-        return original(mat)
+    def counting(module):
+        calls.append(module)
+        return original(module)
 
-    monkeypatch.setattr(OperatorMatrix, "transpose", counting)
+    monkeypatch.setattr(operators, "_raising_structure", counting)
     run(["verify", parts])
-    assert len(calls) == parts.count(",")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("parts", ["2,1,0", "3,2,1,0", "2,1,1,1,0"])
+def test_generator_matrices_evaluate_no_raising_coefficient(monkeypatch, parts):
+    # E_k is built as F_kᵀ, so only the raise path of words calls the
+    # kernel with step 1
+    steps = []
+    original = operators._act
+
+    def counting(rows, k, step, roots, shifts):
+        steps.append(step)
+        return original(rows, k, step, roots, shifts)
+
+    monkeypatch.setattr(operators, "_act", counting)
+    run(["verify", parts])
+    assert steps and set(steps) == {-1}
+    steps.clear()
+    lowest = enumerate_patterns(Partition.from_string(parts))[0]
+    operators.act_raise(1, lowest)
+    assert steps == [1]
+    steps.clear()
+    run(["raise", parts, "--pattern", lowest.to_string()])
+    assert 1 in steps
+
+
+def test_raising_matrix_output_is_pinned():
+    # E_k is built as the transpose of F_k; its table, JSON and Matrix Market
+    # text are the ones the raising kernel's matrices gave
+    digests = json.loads((GOLDEN / "matrix_e_sha256.json").read_text(encoding="utf-8"))
+    assert len(digests) == 15
+    for args, digest in digests.items():
+        assert hashlib.sha256(run(args.split()).output.encode()).hexdigest() == digest, args
 
 
 # -- size guard ----------------------------------------------------------------

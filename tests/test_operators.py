@@ -633,6 +633,12 @@ def _scaled(mat, r, c):
     return OperatorMatrix(cols, meta=mat.meta)
 
 
+def _dropped(mat, r, c):
+    cols = [dict(col) for col in mat.cols]
+    del cols[c][r]
+    return OperatorMatrix(cols, meta=mat.meta)
+
+
 def _plus(mat, extra):
     """mat + the matrix with the nonzero entries {(row, column): value}."""
     cols = [{} for _ in mat.cols]
@@ -684,7 +690,9 @@ def _corrupting(monkeypatch, corruption):
     F_2 by the transposition of two patterns of one weight: every H_i, the
     weight ladder, F_k = E_kᵀ and [e_k, f_k] = h_k still hold, but
     [e_1, f_2] = 0 fails on (2,1,0) and (3,2,1,0).  negate_both negates the
-    first entry of every E_k and the transposed entry of F_k.  sign_row3
+    first entry of every E_k and the transposed entry of F_k.  drop_e
+    removes the first entry of E_2 and keeps F_2, so F_2 holds one entry
+    more than E_2ᵀ and every entry of E_2 is still in F_2.  sign_row3
     negates the columns of E_1 and F_1 whose pattern has β's row 3: both
     change row 1 only, so F_1 stays E_1ᵀ, and every H_i, the weight ladder
     and every [e_k, f_l] with |k − l| ≤ 1 still hold; but E_1 now reads row
@@ -712,6 +720,8 @@ def _corrupting(monkeypatch, corruption):
                 [{r: v * RadicalScalar.from_rational(Fraction(r + 1, c + 1))
                   for r, v in col.items()}
                  for c, col in enumerate(mat.cols)])
+        if corruption == "drop_e" and spec.kind == "raise" and spec.index == 2:
+            mat = _dropped(mat, *_first_entry_of_e(module))
         if corruption == "negate_both" and spec.kind in ("raise", "lower"):
             r, c = _first_entry_of_e(module, spec.index)
             mat = _negated(mat, *((r, c) if spec.kind == "raise" else (c, r)))
@@ -739,7 +749,7 @@ SIGN_ROW3_FAILS = ([3, 2, 1, 0], [2, 1, 1, 1, 0])
 @pytest.mark.parametrize(
     "corruption",
     [None, "scale", "swap", "swap_both", "scale_both", "scale_e", "scale_pair", "conjugate_d",
-     "sign_row3", *ADDED_TO_H],
+     "drop_e", "sign_row3", *ADDED_TO_H],
 )
 def test_relation_report_matches_exhaustive_oracle(monkeypatch, corruption):
     _corrupting(monkeypatch, corruption)
@@ -832,6 +842,57 @@ def test_locality_fault_names_the_first_nonlocal_entry(monkeypatch, corruption, 
     module = GTModule(Partition([3, 2, 1, 0]))
     assert module.ladder_fault is None
     assert module.locality_fault == fault
+
+
+CORRUPTIONS = [None, "scale", "swap", "swap_both", "scale_both", "scale_e", "scale_pair",
+               "conjugate_d", "drop_e", "negate_both", "permute_2", "sign_row3", *ADDED_TO_H]
+FAULT_MODULES = ["2,1,0", "3,2,1,0", "2,1,1,1,0"]
+SWAP_FAULT = ("E_1 moves {0};1,0;0 to {0};2,0;0, not one up in row 1 only",
+              "E_1 moves {0};1,0;0 to {0};2,0;0, which changes a row other than 1")
+# (corruption, module) -> (ladder_fault, locality_fault) where either is not None
+FAULTS = {
+    **{(c, p): ("F_%d is not the transpose of E_%d" % (k, k), None)
+       for c, k in (("scale", 2), ("scale_e", 1), ("drop_e", 2)) for p in FAULT_MODULES},
+    **{(c, p): tuple(text.format(top) for text in SWAP_FAULT)
+       for c in ("swap", "swap_both")
+       for p, top in zip(FAULT_MODULES, ["2,1,0", "3,2,1,0;2,1,0", "2,1,1,1,0;2,1,1,0;2,1,0"])},
+    ("conjugate_d", "2,1,0"): ("F_1 is not the transpose of E_1", None),
+    ("conjugate_d", "3,2,1,0"): (
+        "F_1 is not the transpose of E_1",
+        "E_1 differs on 3,2,1,0;2,1,0;1,0;0 and 3,2,1,0;3,1,0;1,0;0, which share rows 1 to 2"),
+    ("conjugate_d", "2,1,1,1,0"): (
+        "F_1 is not the transpose of E_1",
+        "E_1 differs on 2,1,1,1,0;1,1,1,0;1,1,0;1,0;0 and 2,1,1,1,0;2,1,1,0;1,1,0;1,0;0, "
+        "which share rows 1 to 2"),
+    ("negate_both", "3,2,1,0"): (
+        None,
+        "E_1 differs on 3,2,1,0;2,1,0;1,0;0 and 3,2,1,0;3,1,0;1,0;0, which share rows 1 to 2"),
+    ("negate_both", "2,1,1,1,0"): (
+        None,
+        "E_1 differs on 2,1,1,1,0;1,1,1,0;1,1,0;1,0;0 and 2,1,1,1,0;2,1,1,0;1,1,0;1,0;0, "
+        "which share rows 1 to 2"),
+    ("permute_2", "3,2,1,0"): (
+        None,
+        "E_2 moves 3,2,1,0;3,1,0;1,0;0 to 3,2,1,0;2,2,0;2,0;0, which changes a row other than 2"),
+    ("sign_row3", "3,2,1,0"): (
+        None,
+        "E_1 differs on 3,2,1,0;2,1,0;2,1;1 and 3,2,1,0;3,2,1;2,1;1, which share rows 1 to 2"),
+    ("sign_row3", "2,1,1,1,0"): (
+        None,
+        "E_1 differs on 2,1,1,1,0;2,1,1,0;2,1,0;2,1;1 and 2,1,1,1,0;2,1,1,0;2,1,1;2,1;1, "
+        "which share rows 1 to 2"),
+}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_structure_pass_keeps_fault_precedence(monkeypatch, corruption):
+    # one pass over each E_k decides both faults; each is still the first
+    # one met in the order of its own check, with the same text
+    _corrupting(monkeypatch, corruption)
+    for parts in FAULT_MODULES:
+        module = GTModule(Partition.from_string(parts))
+        assert (module.ladder_fault, module.locality_fault) == FAULTS.get(
+            (corruption, parts), (None, None)), parts
 
 
 def test_relations_bracket_only_serre_relations_when_they_hold(monkeypatch):
