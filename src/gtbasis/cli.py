@@ -366,10 +366,11 @@ def monomials(partition, schedule, strict, fmt, output):
         emit(dumps(family_to_json(family, r)), output)
     else:
         lines = ["# monomial family for %s, schedule %s" % (partition, schedule)]
-        for pat, word, dup in zip(family.patterns, family.word_texts(), family.duplicate_of):
-            line = "%s  %s" % (pat.to_string(), word)
+        texts = [pat.to_string() for pat in family.patterns]
+        for text, word, dup in zip(texts, family.word_texts(), family.duplicate_of):
+            line = "%s  %s" % (text, word)
             if dup is not None:
-                line += "  [duplicate of %s]" % family.patterns[dup].to_string()
+                line += "  [duplicate of %s]" % texts[dup]
             lines.append(line)
         lines.append("rank: %d" % r)
         if is_basis:

@@ -11,9 +11,11 @@ the rank check measures exactly that.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, compress
 from json import dumps
+from operator import add, itemgetter
 
 from .operators import (
     GTModule,
@@ -89,34 +91,69 @@ def monomial_family(module: GTModule, schedule="canonical") -> MonomialFamily:
     return MonomialFamily(module, schedule, exps, duplicate_of)
 
 
+_backwards = itemgetter(slice(None, None, -1))
+
+
 def walk(order: list[int], exponents: list, start, step) -> list:
     """Fold the lowering monomial of each exponent vector over ``start``.
 
     The exponents are written along ``order``, so the monomial applies F_r^a
     for the rows of ``order`` in reverse: its steps are those rows, each
-    repeated a times.  Visiting the step tuples in sorted order, each starts
-    from the longest prefix it shares with the previous one; the stack holds
-    the value after each step of the current tuple, and ``step(r, value)``
-    applies F_r.  Returns one value per exponent vector, in the given order.
+    repeated a times, and ``step(r, value)`` applies F_r.  A word's key has
+    one entry ``r << shift | s`` per nonzero block, in step order: its row
+    r and the word's step count s at the block's end.  itertools builds
+    each key with no Python loop over blocks, and comparing two keys costs
+    O(runs), not O(len(order)).  The distinct keys are walked in sorted
+    order, which visits each shared step prefix in one stretch: a word
+    starts from its longest common prefix with the previous one, which ends
+    at the first entry where they differ, or at the end of the previous
+    word's entry there when both entries are of one row.  ``runs[k]`` holds
+    the value after the previous word's first k runs.  A block that follows
+    one of its own row, with only zero blocks between, continues that run:
+    such a key is met before any step past the join, is left there, and its
+    joined form, which sorts later, is walked in its place.  So each
+    distinct nonempty step prefix is one ``step`` call.  Returns one value
+    per exponent vector, in the given order; equal words share theirs.
     """
-    rows = order[::-1]
-    steps = [tuple(chain.from_iterable(map(repeat, rows, reversed(e)))) for e in exponents]
-    out: list = [None] * len(steps)
-    path: tuple[int, ...] = ()
-    stack = [start]
-    for i in sorted(range(len(steps)), key=steps.__getitem__):
-        word = steps[i]
-        shared = 0
-        for a, b in zip(path, word):
+    shift = max(map(sum, exponents), default=0).bit_length()
+    low = (1 << shift) - 1
+    tags = [r << shift for r in reversed(order)]
+    keys = [tuple(compress(map(add, tags, accumulate(e)), e))
+            for e in map(_backwards, exponents)]
+    values, joined = {}, {}
+    prev, runs = (), [start]
+    todo = sorted(set(keys))
+    for key in todo:
+        j = 0
+        for a, b in zip(prev, key):
             if a != b:
                 break
-            shared += 1
-        del stack[shared + 1:]
-        for r in word[shared:]:
-            stack.append(step(r, stack[-1]))
-        path = word
-        out[i] = stack[-1]
-    return out
+            j += 1
+        if j < len(prev) and (prev[j] ^ key[j]) <= low:  # one row: extend its run
+            value, done = runs[j + 1], prev[j] & low
+        else:
+            value, done = runs[j], prev[j - 1] & low if j else 0
+        del runs[j + 1:]
+        last = key[j - 1] >> shift if j else 0
+        for x in key[j:]:
+            r = x >> shift
+            if r == last:  # this block joins the run before it
+                break
+            last, end = r, x & low
+            for _ in range(end - done):
+                value = step(r, value)
+            done = end
+            runs.append(value)
+        else:
+            values[key] = value
+            prev = key
+            continue
+        prev = key[:len(runs) - 1]
+        joined[key] = tuple(x for x, y in zip(key, key[1:] + (0,)) if (x ^ y) > low)
+        insort(todo, joined[key])
+    for key, form in joined.items():
+        values[key] = values[form]
+    return list(map(values.__getitem__, keys))
 
 
 def basis_matrix(family: MonomialFamily) -> OperatorMatrix:
@@ -161,44 +198,64 @@ def lower_triangular(supports) -> bool:
 def float_columns(family: MonomialFamily) -> list[dict[int, float]]:
     """The family's basis-matrix columns in floating point, by one ``walk``.
 
-    Each F_k's entries are converted once per shared root object (keyed by
-    ``id`` while the matrices hold them).  A step adds every product into
-    its row and drops no row, whatever its value, so the keys of each
-    column are exactly that word's ``reached_sets`` entry.
+    A step reads the exact F_k columns and converts each entry through a
+    memo keyed by ``id`` (valid while the matrices hold the entries), so
+    each shared root object is converted once and no float copy of a
+    matrix is built.  A step adds every product into its row and drops no
+    row, whatever its value, so the keys of each column are exactly that
+    word's ``reached_sets`` entry.
     """
     module, floats = family.module, {}
-
-    def to_float(v):
-        f = floats.get(id(v))
-        if f is None:
-            f = floats[id(v)] = v.to_float()
-        return f
-
-    mats = {r: [{i: to_float(v) for i, v in col.items()}
-                for col in module.generator("lower", r).cols]
-            for r in set(family.order)}
+    mats = {r: module.generator("lower", r).cols for r in set(family.order)}
 
     def step(r, vec):
         cols, out = mats[r], {}
         for c, x in vec.items():
-            for i, f in cols[c].items():
+            for i, v in cols[c].items():
+                f = floats.get(id(v))
+                if f is None:
+                    f = floats[id(v)] = v.to_float()
                 out[i] = out.get(i, 0.0) + f * x
         return out
 
     return walk(family.order, family.exponents, {module.beta: 1.0}, step)
 
 
-def _float_rank(cols, to_float=RadicalScalar.to_float) -> int:
-    """Singular values above 1e-9 of the square matrix with these sparse
-    columns ``{row: value}``, each value read through ``to_float``, counted
-    one connected block at a time.
+def _float_copies(cols) -> list[dict[int, float]]:
+    """The columns with their values as floats, for ``_float_rank``.
 
-    Rows that share a nonzero column are joined (union-find, O(nnz)); each
-    class with its columns is a block, and permuting rows and columns makes
-    the matrix block diagonal, so its singular values are those of the
-    blocks (Golub & Van Loan, §2.4).  A basis matrix's columns are weight
-    vectors, so no block is larger than a weight space.  Blocks of one
-    shape are stacked into a single SVD call.
+    Each distinct column object is copied once, so a repeated column stays
+    one object, and each distinct entry object is converted once (keyed by
+    ``id`` while ``cols`` holds them).
+    """
+    floats: dict[int, float] = {}
+    copies: dict[int, dict[int, float]] = {}
+    out = []
+    for col in cols:
+        copy = copies.get(id(col))
+        if copy is None:
+            copy = copies[id(col)] = {}
+            for r, v in col.items():
+                f = floats.get(id(v))
+                if f is None:
+                    f = floats[id(v)] = v.to_float()
+                copy[r] = f
+        out.append(copy)
+    return out
+
+
+def _float_rank(cols) -> int:
+    """Singular values above 1e-9 of the square matrix with these sparse
+    columns ``{row: value}``, counted one connected block at a time.
+
+    The values are floats (numpy reads any other value as ``float(v)``).
+    Rows that share a nonzero column are joined (union-find, O(nnz)), once
+    per distinct column object; each class with its columns is a block,
+    and permuting rows and columns makes the matrix block diagonal, so its
+    singular values are those of the blocks (Golub & Van Loan, §2.4).  A
+    basis matrix's columns are weight vectors, so no block is larger than
+    a weight space.  Blocks of one shape are stacked into a single SVD
+    call, repeated columns included.
     """
     import numpy as np
 
@@ -209,7 +266,7 @@ def _float_rank(cols, to_float=RadicalScalar.to_float) -> int:
             parent[r] = r = parent[parent[r]]
         return r
 
-    for col in cols:
+    for col in dict(zip(map(id, cols), cols)).values():  # distinct objects
         rows = iter(col)
         first = next(rows, None)
         for r in rows:
@@ -233,7 +290,7 @@ def _float_rank(cols, to_float=RadicalScalar.to_float) -> int:
             for j, c in enumerate(block, b * nr * nc):
                 for r, v in cols[c].items():
                     at.append(j + pos[r] * nc)
-                    vals.append(to_float(v))
+                    vals.append(v)
         stack = np.zeros(len(group) * nr * nc)
         stack[at] = vals
         sv = np.linalg.svd(stack.reshape(-1, nr, nc), compute_uv=False)
@@ -255,10 +312,12 @@ def rank(mat: OperatorMatrix) -> int:
     matrix with nonzero diagonal, such as every canonical family, keeps
     each column as it is, with no division; ``family_rank`` decides an
     intact canonical family without building its matrix at all.  The float
-    check (``_float_rank``) counts singular values above 1e-9 block by
-    block, and any disagreement is an internal error — the two computations
-    share no code.  It takes one SVD per connected block of the matrix, each
-    at most a weight space in size, never one of the whole d×d matrix.
+    check (``_float_rank`` of ``_float_copies``, where a repeated word's
+    column is converted and united once) counts singular values above 1e-9
+    block by block, and any disagreement is an internal error — the two
+    computations share no code.  It takes one SVD per connected block of
+    the matrix, each at most a weight space in size, never one of the whole
+    d×d matrix.
     """
     kept: dict[int, dict[int, RadicalScalar]] = {}  # leading row -> column
     for col in mat.cols:
@@ -274,7 +333,7 @@ def rank(mat: OperatorMatrix) -> int:
             lead = min(v, default=None)
         if v:
             kept[lead] = v
-    return _cross_checked(len(kept), _float_rank(mat.cols))
+    return _cross_checked(len(kept), _float_rank(_float_copies(mat.cols)))
 
 
 def _cross_checked(exact: int, approx: int) -> int:
@@ -302,7 +361,7 @@ def family_rank(family: MonomialFamily) -> int:
     if all(d is None for d in family.duplicate_of) and family.module.lowering_positive:
         cols = float_columns(family)
         if lower_triangular(cols):
-            return _cross_checked(dim, _float_rank(cols, float))
+            return _cross_checked(dim, _float_rank(cols))
     return rank(basis_matrix(family))
 
 

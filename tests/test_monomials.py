@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import numpy
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtbasis import monomials, operators, raising
 from gtbasis.monomials import (
     MonomialFamily,
     UnsupportedScheduleError,
+    _float_copies,
     _float_rank,
     basis_matrix,
     family_from_json,
@@ -28,7 +29,7 @@ from gtbasis.operators import (
     OperatorMatrix,
 )
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
-from gtbasis.raising import apply_word, sweep_exponents
+from gtbasis.raising import SCHEDULES, apply_word, resolve_schedule, sweep_exponents
 from gtbasis.scalars import RadicalScalar
 from gtbasis.weights import weight_decomposition, weight_of
 
@@ -257,6 +258,36 @@ def test_walk_shares_word_prefixes(parts, schedule, steps, monkeypatch):
     calls.clear()
     monomials.reached_sets(family)
     assert len(calls) == steps
+
+
+@st.composite
+def _orders_and_exponents(draw):
+    """A canonical or alternate row order for n <= 6, and exponent vectors
+    along it with many zero blocks, so that blocks of one row often have
+    only zero blocks between them."""
+    n = draw(st.integers(2, 6))
+    order = resolve_schedule(n, draw(st.sampled_from(sorted(SCHEDULES))))
+    block = st.one_of(st.just(0), st.integers(0, 3))
+    return order, draw(st.lists(st.tuples(*[block] * len(order)), max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_orders_and_exponents())
+@example(([1, 2, 1], [(1, 0, 2), (3, 0, 0), (0, 0, 3), (2, 0, 1), (0, 1, 2)]))
+def test_walk_steps_each_word_and_each_prefix_once(case):
+    """Each value is the word's own steps, in order, from ``start``, and
+    there is one ``step`` call per distinct nonempty step prefix."""
+    order, exponents = case
+    calls = []
+
+    def step(r, steps):
+        calls.append(r)
+        return steps + (r,)
+
+    words = [tuple(r for r, a in zip(order[::-1], e[::-1]) for _ in range(a))
+             for e in exponents]
+    assert monomials.walk(order, exponents, (), step) == words
+    assert len(calls) == len({w[:k] for w in words for k in range(1, len(w) + 1)})
 
 
 @pytest.mark.parametrize("parts, schedule", [
@@ -540,6 +571,60 @@ def test_float_walk_keys_are_the_reached_sets(parts):
         family = monomial_family(module, schedule)
         assert [set(col) for col in float_columns(family)] == [
             set(reached) for reached in reached_sets(family)]
+
+
+def test_float_walk_converts_each_root_once(monkeypatch):
+    converted, original = [], RadicalScalar.to_float
+
+    def counting(v):
+        converted.append(v)
+        return original(v)
+
+    for parts in ([12, 6, 0], [3, 2, 1, 0, 0]):
+        module = GTModule(Partition(parts))
+        family = monomial_family(module, "canonical")
+        roots = {id(v) for r in set(family.order)
+                 for col in module.generator("lower", r).cols for v in col.values()}
+        converted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(RadicalScalar, "to_float", counting)
+            float_columns(family)
+        assert 0 < len(converted) <= len(roots), parts
+        assert len({id(v) for v in converted}) == len(converted), parts
+
+
+def test_float_rank_takes_each_repeated_column_once(monkeypatch):
+    """A repeated word's column is its first occurrence's object: its float
+    copy converts it, and each distinct entry, once, and the SVD inputs and
+    rank are those of a copy in which every column and value is new."""
+    mat = basis_matrix(monomial_family(GTModule(Partition([12, 6, 0])), "alternate"))
+    fresh = [{r: RadicalScalar(v.coefficients()) for r, v in col.items()}
+             for col in mat.cols]
+    distinct = {id(col): col for col in mat.cols}
+    assert len(distinct) == 127 < mat.dim == 343
+    converted, stacks = [], []
+    original_float, original_svd = RadicalScalar.to_float, numpy.linalg.svd
+
+    def counting(v):
+        converted.append(v)
+        return original_float(v)
+
+    def recording(a, *args, **kwargs):
+        stacks[-1].append(numpy.array(a))
+        return original_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(RadicalScalar, "to_float", counting)
+    monkeypatch.setattr(numpy.linalg, "svd", recording)
+    copies = _float_copies(mat.cols)
+    assert len(converted) == len({id(v) for col in distinct.values() for v in col.values()})
+    assert len({id(col) for col in copies}) == 127
+    ranks = []
+    for cols in (copies, _float_copies(fresh)):
+        stacks.append([])
+        ranks.append(_float_rank(cols))
+    assert ranks == [168, 168]
+    assert len(stacks[0]) == len(stacks[1])
+    assert all(numpy.array_equal(a, b) for a, b in zip(*stacks))
 
 
 def test_float_walk_values_match_the_exact_columns():
