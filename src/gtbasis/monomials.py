@@ -2,9 +2,11 @@
 
 Each pattern's raising word, read backwards with raises turned into lowers,
 is a lowering monomial; the rank of their images of β decides whether the
-family is a basis.  ``family_rank`` reads that rank from the patterns each
-word reaches when the family has no repeated word and every F_k entry is
-positive, and otherwise ranks the exact basis matrix.  Duplicate words are
+family is a basis.  ``exact_support`` reads that rank from the patterns
+each word reaches when the family has no repeated word and every F_k entry
+is positive; otherwise ``rank`` eliminates the exact basis matrix.  Only
+``family_rank``, the ``monomials`` command's verdict, also ranks the
+columns in floating point, as a cross-check.  Duplicate words are
 kept, not deduplicated — the family is whatever the schedule produces, and
 the rank check measures exactly that.
 """
@@ -299,70 +301,75 @@ def _float_rank(cols) -> int:
 
 
 def rank(mat: OperatorMatrix) -> int:
-    """Exact rank by column reduction, cross-checked in floating point.
+    """Exact rank by column reduction; no floating point.
 
-    Columns are reduced in order: while a column's leading (smallest) row
-    index is the leading row of a kept column, that column's multiple is
-    subtracted; what remains, if anything, is kept under its new leading
-    row.  A column equal to the kept column with its leading row is dropped
-    after that one comparison, with no division: in an alternate family
-    every repeated word's column is such a copy (810 of 1430 columns of the
-    alternate benchmark pass), while a canonical family has none.  The
-    rank is the number of kept columns.  A lower-triangular
-    matrix with nonzero diagonal, such as every canonical family, keeps
-    each column as it is, with no division; ``family_rank`` decides an
-    intact canonical family without building its matrix at all.  The float
-    check (``_float_rank`` of ``_float_copies``, where a repeated word's
-    column is converted and united once) counts singular values above 1e-9
-    block by block, and any disagreement is an internal error — the two
-    computations share no code.  It takes one SVD per connected block of
-    the matrix, each at most a weight space in size, never one of the whole
-    d×d matrix.
+    Each distinct column object is reduced once, in order: a repeated
+    word's column is its first occurrence's object (810 of the 1430 columns
+    of the alternate benchmark pass), and adds nothing to the rank.  While
+    a column's leading (smallest) row is the leading row of a kept column,
+    that column's multiple is subtracted; what remains, if anything, is
+    kept under its new leading row.  The rank is the number of kept
+    columns.  A lower-triangular matrix with nonzero diagonal, such as every
+    canonical family, keeps each column as it is, with no division; and
+    ``exact_support`` decides an intact one without building its matrix.
     """
     kept: dict[int, dict[int, RadicalScalar]] = {}  # leading row -> column
-    for col in mat.cols:
+    for col in dict(zip(map(id, mat.cols), mat.cols)).values():
         v = dict(col)
         lead = min(v, default=None)
         while lead in kept:
             piv = kept[lead]
-            if v == piv:
-                v = {}
-                break
             factor = v[lead] * piv[lead].invert()
             _subtract_into(v, {r: factor * b for r, b in piv.items()})
             lead = min(v, default=None)
         if v:
             kept[lead] = v
-    return _cross_checked(len(kept), _float_rank(_float_copies(mat.cols)))
+    return len(kept)
 
 
-def _cross_checked(exact: int, approx: int) -> int:
-    if approx != exact:
-        raise InternalConsistencyError(
-            "exact rank %d disagrees with float rank %d" % (exact, approx)
-        )
-    return exact
+def _intact(family: MonomialFamily) -> bool:
+    """No word repeats, and ``module.lowering_positive`` holds."""
+    return all(d is None for d in family.duplicate_of) and family.module.lowering_positive
+
+
+def exact_support(family: MonomialFamily) -> bool:
+    """Whether the family's rank is its dimension, read from supports alone.
+
+    In an ``_intact`` family every entry of a column is a sum of positive
+    path products, which cannot vanish, so a column's support is the set of
+    patterns its word reaches (``reached_sets``).  If those supports are
+    ``lower_triangular``, so is the basis matrix, with a nonzero diagonal.
+    A support cannot see a flipped sign, which can make two paths cancel,
+    so the positivity condition is required, not an optimization.
+    """
+    return _intact(family) and lower_triangular(reached_sets(family))
 
 
 def family_rank(family: MonomialFamily) -> int:
-    """The rank of ``basis_matrix(family)``, from supports where that is sound.
+    """The rank of ``basis_matrix(family)``, cross-checked in floating point.
 
-    When no word repeats and ``module.lowering_positive`` holds, every entry
-    of a column is a sum of positive path products, which cannot vanish, so
-    a column's support is the set of patterns its word reaches: the keys of
-    its ``float_columns`` entry, where no key is dropped.  If those supports
-    are ``lower_triangular``, the rank is the dimension, read from the keys
-    alone.  The float values are an independent computation of the same
-    sums, and ``_float_rank`` of them must be the dimension as well.  Any
-    other family (a repeated word, a non-positive entry, another shape) is
-    ranked by ``rank(basis_matrix(family))``.
+    In an ``_intact`` family, ``float_columns`` walks the words in floats;
+    its keys are the ``reached_sets``, and if they are ``lower_triangular``
+    the rank is the dimension, as in ``exact_support``, with no matrix
+    built.  Any other family is ranked by ``rank(basis_matrix(family))``,
+    against ``_float_copies`` of its columns.  Either way ``_float_rank``
+    counts the float columns' singular values above 1e-9 block by block,
+    and any disagreement with the exact rank is an internal error; the two
+    computations share no code.
     """
-    dim = len(family.patterns)
-    if all(d is None for d in family.duplicate_of) and family.module.lowering_positive:
+    exact = None
+    if _intact(family):
         cols = float_columns(family)
         if lower_triangular(cols):
-            return _cross_checked(dim, _float_rank(cols))
-    return rank(basis_matrix(family))
+            exact = len(family.patterns)
+    if exact is None:
+        mat = basis_matrix(family)
+        exact, cols = rank(mat), _float_copies(mat.cols)
+    approx = _float_rank(cols)
+    if approx != exact:
+        raise InternalConsistencyError(
+            "exact rank %d disagrees with float rank %d" % (exact, approx))
+    return exact
 
 
 def _entries(family: MonomialFamily) -> list[dict]:
@@ -391,9 +398,9 @@ def family_from_json(data: dict) -> MonomialFamily:
     entries must be exactly the ones ``family_to_json`` writes for it.
     Their count is tested first, so a short document never enumerates a
     large module.  ``is_basis`` must be the bool rank == dim, and the rank a
-    ``json_int`` equal to ``family_rank(family)``, recomputed: from the
-    reached patterns for an intact canonical family, from the exact basis
-    matrix otherwise.
+    ``json_int`` equal to the family's rank, recomputed exactly: the
+    dimension when ``exact_support`` holds, ``rank(basis_matrix(family))``
+    otherwise.
     """
     try:
         partition, entries = Partition.from_json(data["partition"]), data["entries"]
@@ -409,7 +416,8 @@ def family_from_json(data: dict) -> MonomialFamily:
     if not same:
         raise ValueError("entries are not the %s family of %s"
                          % (family.schedule, partition))
-    if is_basis is not (claimed == dim) or claimed != family_rank(family):
+    exact = dim if exact_support(family) else rank(basis_matrix(family))
+    if is_basis is not (claimed == dim) or claimed != exact:
         raise ValueError("rank %d and is_basis %r do not fit the %s family of %s"
                          % (claimed, is_basis, family.schedule, partition))
     return family

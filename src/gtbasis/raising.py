@@ -235,27 +235,19 @@ def simplicity_certificate(module: GTModule) -> SimplicityReport:
 
     Its diagonal gives λ_β for every pattern (see ``_check_ladder``), and its
     rank decides whether the monomial family spans.  When
-    ``module.lowering_positive`` holds, every F_k entry is a positive real
-    c·√d, so each entry of F_{k_m}⋯F_{k_1}β is a sum of positive path
-    products: sums of positive reals cannot vanish, so the support of a
-    column is exactly the set of patterns its word reaches
-    (``monomials.reached_sets`` of the canonical family, no word built),
-    found with sets and no arithmetic.  If
-    column c reaches c and no pattern of lower index, the matrix is
-    lower-triangular with a nonzero diagonal: every λ_β is nonzero and the
-    rank is the dimension.  A support cannot see a flipped sign, which can
-    make two paths cancel, so the positivity condition is required, not an
-    optimization.  In any other case the exact basis matrix of the same
-    family and its rank decide, so each pattern's sweep exponents are
-    computed once either way.
+    ``monomials.exact_support`` holds for the canonical family, the matrix
+    is lower-triangular with a nonzero diagonal, read from the patterns each
+    word reaches with no word built: every λ_β is nonzero and the rank is the
+    dimension.  In any other case the exact basis matrix of the same family
+    and its exact ``monomials.rank`` decide, so each pattern's sweep
+    exponents are computed once either way.
     """
     from . import monomials  # deferred: monomials imports this module
 
     _check_ladder(module)
     partition, dim = module.partition, len(module.basis)
     family = monomials.monomial_family(module)
-    if module.lowering_positive and monomials.lower_triangular(
-            monomials.reached_sets(family)):
+    if monomials.exact_support(family):
         return SimplicityReport(partition, dim, dim, [], dim)
     mat = monomials.basis_matrix(family)
     failures = [

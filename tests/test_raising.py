@@ -1,5 +1,6 @@
 """Raising words, exponent sweeps, and the simplicity certificate."""
 
+import numpy.linalg
 import pytest
 from click.testing import CliRunner
 
@@ -470,6 +471,23 @@ def test_intact_certificate_builds_no_basis_matrix(monkeypatch):
             partition, dim, dim, [], dim)
         assert module.lowering_positive
         assert families == [(module,)]  # the one canonical family, for its reached sets
+
+
+def test_certificate_fallback_decides_without_floats(monkeypatch):
+    # negate_both sends the certificate to the exact basis matrix, whose
+    # rank is decided by exact elimination alone
+    _corrupting_by_name(monkeypatch, "negate_both")
+    svd_calls, original = [], numpy.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        svd_calls.append(numpy.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(numpy.linalg, "svd", recording)
+    module = GTModule(Partition([3, 2, 1, 0]))
+    assert not module.lowering_positive
+    assert simplicity_certificate(module).summary() == "CERTIFIED (64/64, rank 64)"
+    assert svd_calls == []
 
 
 @pytest.mark.parametrize("corruption", [None, "negate_both"])
