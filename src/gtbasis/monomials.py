@@ -1,4 +1,4 @@
-"""Monomial families: mirrored lowering words applied to the highest pattern.
+"""Monomial families: transposed raising words applied to the highest pattern.
 
 Each pattern's raising word, read backwards with raises turned into lowers,
 is a lowering monomial; the rank of their images of β decides whether the
@@ -27,8 +27,8 @@ from .operators import (
     _subtract_into,
 )
 from .patterns import GTPattern, Partition, dimension
-from .raising import (GeneratorWord, UnsupportedScheduleError, resolve_schedule,
-                      sweep_exponents, word_format)
+from .raising import (UnsupportedScheduleError, resolve_schedule, sweep_exponents,
+                      word_format)
 from .scalars import RadicalScalar, json_int
 
 
@@ -68,18 +68,9 @@ class MonomialFamily:
         """The schedule's application row order, along which ``exponents`` run."""
         return resolve_schedule(self.partition.n, self.schedule)
 
-    def _specs(self) -> list[GeneratorSpec]:
-        return [GeneratorSpec("lower", r) for r in self.order]
-
-    @property
-    def words(self) -> list[GeneratorWord]:
-        """The lowering words, built from the exponents on each call."""
-        specs = self._specs()
-        return [GeneratorWord(zip(specs, e)) for e in self.exponents]
-
     def word_texts(self) -> list[str]:
-        """Each word's ``GeneratorWord.to_text``, one ``word_format`` filled per word."""
-        fmt = word_format(self._specs())
+        """Each word's text, one ``word_format`` filled per word."""
+        fmt = word_format([GeneratorSpec("lower", r) for r in self.order])
         return [fmt % e for e in self.exponents]
 
 

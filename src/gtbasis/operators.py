@@ -158,17 +158,11 @@ class GeneratorSpec:
         """A raise/lower generator's name in word text: E12, F23, ..."""
         return "%s%d%d" % (self.LETTERS[self.kind], self.index, self.index + 1)
 
-    def mirror(self) -> "GeneratorSpec":
-        """The transpose: raise <-> lower; diag and cartan are their own."""
-        flip = {"raise": "lower", "lower": "raise"}
-        return GeneratorSpec(flip.get(self.kind, self.kind), self.index)
-
     def check_range(self, n: int):
         hi = n if self.kind == "diag" else n - 1
         if not 1 <= self.index <= hi:
-            raise ValueError(
-                "%s index %d out of range 1..%d" % (self.kind, self.index, hi)
-            )
+            raise ValueError("%s index %d out of range 1..%d"
+                             % (self.LETTERS[self.kind], self.index, hi))
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 from .scalars import json_int
 
@@ -249,12 +250,8 @@ def enumerate_patterns(partition: Partition) -> list[GTPattern]:
         grown = []
         for rows in triangles:
             upper = rows[0]
-            choices: list[list[int]] = [[]]
-            for i in range(k):
-                lo, hi = upper[i + 1], upper[i]
-                choices = [c + [v] for c in choices for v in range(lo, hi + 1)]
-            for c in choices:
-                grown.append((tuple(c),) + rows)
+            for c in product(*[range(upper[i + 1], upper[i] + 1) for i in range(k)]):
+                grown.append((c,) + rows)
         triangles = grown
     # row i has i entries in every triangle, so comparing the row tuples in
     # order is comparing the flattened keys

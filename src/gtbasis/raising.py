@@ -50,10 +50,6 @@ class GeneratorWord:
     def exponents_written(self) -> list[int]:
         return [exp for _, exp in self.factors]
 
-    def mirror(self) -> "GeneratorWord":
-        """Reverse the factors and swap raise <-> lower, keeping exponents."""
-        return GeneratorWord((s.mirror(), exp) for s, exp in reversed(self.factors))
-
     def to_text(self) -> str:
         return word_format([s for s, _ in self.factors]) % tuple(self.exponents_written())
 
@@ -219,7 +215,7 @@ def _check_ladder(module: GTModule):
     """Raise InternalConsistencyError on ``module.ladder_fault``, if any.
 
     The ladder makes the basis-matrix diagonal equal λ_β.  With F_k = E_kᵀ,
-    the mirrored monomial of ξ is the transpose of ξ's raising word W, so
+    the lowering monomial of ξ is the transpose of ξ's raising word W, so
     the diagonal entry (ξ, ξ) of the canonical basis matrix is ⟨β, Wξ⟩.
     Every E_k moving the weight by α_k makes Wξ a single weight vector; β
     alone having its weight then leaves Wξ no support besides β when that

@@ -185,10 +185,10 @@ def test_criterion_6_raising_certification(capsys):
 def test_criterion_7_monomial_bases(capsys):
     with criterion(capsys, 7, "monomial families and ranks", 60):
         canonical = monomial_family(GTModule(P210), "canonical")
-        assert {w.to_text() for w in canonical.words} == CANONICAL_WORDS_210
+        assert set(canonical.word_texts()) == CANONICAL_WORDS_210
         assert rank(basis_matrix(canonical)) == 8
         canonical_320 = monomial_family(GTModule(P320), "canonical")
-        assert {w.to_text() for w in canonical_320.words} == CANONICAL_WORDS_320
+        assert set(canonical_320.word_texts()) == CANONICAL_WORDS_320
         assert rank(basis_matrix(canonical_320)) == 15
         alternate = monomial_family(GTModule(P210), "alternate")
         assert alternate.distinct_count <= 7
@@ -196,7 +196,7 @@ def test_criterion_7_monomial_bases(capsys):
         pats = [p.compact_str() for p in alternate.patterns]
         first, dup = DUPLICATE_PAIR_210
         assert alternate.duplicate_of[pats.index(dup)] == pats.index(first)
-        assert alternate.words[pats.index(dup)].to_text() == DUPLICATE_WORD_210
+        assert alternate.word_texts()[pats.index(dup)] == DUPLICATE_WORD_210
         result = CliRunner().invoke(
             cli_main, ["monomials", "2,1,0", "--schedule", "alternate", "--strict"]
         )

@@ -166,6 +166,15 @@ def test_matrix_index_out_of_range_is_usage_error():
     run(["matrix", "2,1,0", "H", "3"])
 
 
+def test_generator_index_error_names_the_typed_letter():
+    res = run(["matrix", "2,1,0", "F", "7"], expect_exit=2)
+    assert "Error: F index 7 out of range 1..2" in res.output
+    res = run(["matrix", "2,1,0", "H", "4"], expect_exit=2)
+    assert "Error: H index 4 out of range 1..3" in res.output
+    res = run(["export", "2,1,0", "E", "9"], expect_exit=2)
+    assert "Error: E index 9 out of range 1..2" in res.output
+
+
 # -- verify ------------------------------------------------------------------
 
 

@@ -27,11 +27,13 @@ from gtbasis.monomials import (
 )
 from gtbasis.operators import (
     GTModule,
+    GeneratorSpec,
     InternalConsistencyError,
     OperatorMatrix,
 )
 from gtbasis.patterns import Partition, enumerate_patterns, highest_pattern
-from gtbasis.raising import SCHEDULES, apply_word, resolve_schedule, sweep_exponents
+from gtbasis.raising import (SCHEDULES, GeneratorWord, apply_word, resolve_schedule,
+                             sweep_exponents)
 from gtbasis.scalars import RadicalScalar
 from gtbasis.weights import weight_decomposition, weight_of
 
@@ -52,44 +54,44 @@ from test_operators import _corrupting
 
 
 def _family_word(xi):
+    """ξ's word text and exponents in its module's canonical family."""
     family = monomial_family(GTModule(xi.partition))
-    return family.words[family.patterns.index(xi)]
+    i = family.patterns.index(xi)
+    return family.word_texts()[i], family.exponents[i]
 
 
 def test_monomial_word_examples():
-    assert _family_word(pat(P210, "2,0;0")).to_text() == "F12^2 F23^1 F12^0"
-    beta_word = _family_word(highest_pattern(P210))
-    assert beta_word.to_text() == "F12^0 F23^0 F12^0"
-    assert not any(beta_word.exponents_written())
+    assert _family_word(pat(P210, "2,0;0"))[0] == "F12^2 F23^1 F12^0"
+    beta_text, beta_exponents = _family_word(highest_pattern(P210))
+    assert beta_text == "F12^0 F23^0 F12^0"
+    assert not any(beta_exponents)
     # written raising word E12^0 E23^1 E12^1, factor order reversed:
-    assert _family_word(pat(P110, "1,0;0")).to_text() == "F12^1 F23^1 F12^0"
+    assert _family_word(pat(P110, "1,0;0"))[0] == "F12^1 F23^1 F12^0"
 
 
 def test_canonical_family_210_matches_printed_set():
     family = monomial_family(GTModule(P210), "canonical")
-    words = {w.to_text() for w in family.words}
-    assert words == CANONICAL_WORDS_210
+    assert set(family.word_texts()) == CANONICAL_WORDS_210
     assert family.duplicate_of == [None] * 8
     assert rank(basis_matrix(family)) == 8
 
 
 def test_canonical_family_320_matches_printed_set():
     family = monomial_family(GTModule(P320), "canonical")
-    words = {w.to_text() for w in family.words}
-    assert words == CANONICAL_WORDS_320
+    assert set(family.word_texts()) == CANONICAL_WORDS_320
     assert family.distinct_count == 15
     assert rank(basis_matrix(family)) == 15
 
 
 def test_alternate_family_210_duplicate_and_rank():
     family = monomial_family(GTModule(P210), "alternate")
-    assert {w.to_text() for w in family.words} == ALTERNATE_DISTINCT_WORDS_210
+    assert set(family.word_texts()) == ALTERNATE_DISTINCT_WORDS_210
     assert family.distinct_count == 7
     first, dup = DUPLICATE_PAIR_210
     pats = [p.compact_str() for p in family.patterns]
     i_first, i_dup = pats.index(first), pats.index(dup)
     assert family.duplicate_of[i_dup] == i_first
-    assert family.words[i_dup].to_text() == DUPLICATE_WORD_210
+    assert family.word_texts()[i_dup] == DUPLICATE_WORD_210
     assert sum(1 for d in family.duplicate_of if d is not None) == 1
     assert rank(basis_matrix(family)) == 7 < 8
 
@@ -117,12 +119,13 @@ ALTERNATE_POOL = [(6, 3, 0), (7, 3, 0), (8, 4, 0), (9, 3, 0), (9, 4, 0), (10, 5,
 def test_family_words_are_mirrored_raising_words(parts, schedule):
     partition = Partition(parts)
     family = monomial_family(GTModule(partition), schedule)
-    first = {}
-    words = family.words
+    first, order = {}, family.order
     for i, p in enumerate(family.patterns):
-        word = raising.raising_word(p, schedule).mirror()
-        assert words[i] == word
-        j = first.setdefault(word, i)
+        word = raising.raising_word(p, schedule)
+        # the mirror reverses the factors and turns each raise into a lower
+        assert family.exponents[i] == tuple(reversed(word.exponents_written()))
+        assert order == [spec.index for spec, _ in reversed(word.factors)]
+        j = first.setdefault(family.exponents[i], i)
         assert family.duplicate_of[i] == (None if j == i else j)
 
 
@@ -191,13 +194,19 @@ def test_basis_matrix_identity_column():
     assert all(col[r].is_zero() for r in range(8) if r != beta_index)
 
 
+def _words(family):
+    """The family's lowering words, built by hand from its order and exponents."""
+    specs = [GeneratorSpec("lower", r) for r in family.order]
+    return [GeneratorWord(zip(specs, e)) for e in family.exponents]
+
+
 def _word_by_word(family):
     """Reference basis matrix: each word applied to β on its own."""
     pats = enumerate_patterns(family.partition)
     index = {p: i for i, p in enumerate(pats)}
     beta = {highest_pattern(family.partition): RadicalScalar.one()}
     cols = []
-    for word in family.words:
+    for word in _words(family):
         image = apply_word(word, beta)
         cols.append({index[p]: v for p, v in image.items()})
     return OperatorMatrix(cols)
@@ -227,8 +236,8 @@ def test_basis_matrix_follows_the_stored_exponents():
     alternate = monomial_family(GTModule(P210), "alternate")
     family = MonomialFamily(GTModule(P210), "canonical",
                             alternate.exponents, alternate.duplicate_of)
-    assert [tuple(w.exponents_written()) for w in family.words] == alternate.exponents
-    assert family.words != alternate.words
+    assert [w.to_text() for w in _words(family)] == family.word_texts()
+    assert family.word_texts() != alternate.word_texts()
     assert basis_matrix(family) == _word_by_word(family)
     assert basis_matrix(family) != basis_matrix(monomial_family(GTModule(P210), "canonical"))
 
@@ -304,7 +313,7 @@ def test_walk_steps_each_word_and_each_prefix_once(case):
 ])
 def test_word_texts_are_the_words_to_text(parts, schedule):
     family = monomial_family(GTModule(Partition(parts)), schedule)
-    assert family.word_texts() == [w.to_text() for w in family.words]
+    assert family.word_texts() == [w.to_text() for w in _words(family)]
 
 
 def test_basis_matrix_builds_each_lowering_matrix_once(monkeypatch):
@@ -753,7 +762,7 @@ def test_family_json_round_trip():
     restored = family_from_json(json.loads(json.dumps(doc)))
     assert restored.partition == family.partition
     assert restored.exponents == family.exponents
-    assert restored.words == family.words
+    assert restored.word_texts() == family.word_texts()
     assert restored.duplicate_of == family.duplicate_of
     no_duplicate_of = [{k: v for k, v in e.items() if k != "duplicate_of"}
                        for e in doc["entries"]]

@@ -121,7 +121,7 @@ def test_word_text_round_trip():
     word = GeneratorWord([(GeneratorSpec("raise", 10), 2), (GeneratorSpec("lower", 12), 1)])
     assert word.to_text() == "E1011^2 F1213^1"
     family = monomials.monomial_family(GTModule(Partition([2, 1] + [0] * 10)))
-    assert max(spec.index for w in family.words for spec, _ in w.factors) == 11
+    assert max(family.order) == 11
     texts = family.word_texts()
     assert any("F1011^" in t for t in texts) and any("F1112^" in t for t in texts)
 
@@ -152,14 +152,6 @@ def test_word_json_round_trip():
         {"gen": "E", "row": 2, "exp": 2},
         {"gen": "E", "row": 1, "exp": 1},
     ]
-
-
-def test_word_mirror():
-    word = GeneratorWord([(GeneratorSpec("raise", 1), 0), (GeneratorSpec("raise", 2), 1),
-                          (GeneratorSpec("raise", 1), 2)])
-    assert word.to_text() == "E12^0 E23^1 E12^2"
-    assert word.mirror().to_text() == "F12^2 F23^1 F12^0"
-    assert word.mirror().mirror() == word
 
 
 def test_sweep_exponent_totals_match_content_deficit():
@@ -316,11 +308,11 @@ def test_word_validation():
     for exp in (1.9, 1.0, True, "1"):
         with pytest.raises(ValueError, match="not an integer"):
             GeneratorWord(((GeneratorSpec("raise", 1), exp),))
-    # the letters come from the same table, and mirror swaps E and F
+    # text and JSON take their letters from the same table
     word = GeneratorWord([(GeneratorSpec("raise", 2), 1), (GeneratorSpec("lower", 1), 3)])
     assert word.to_text() == "E23^1 F12^3"
-    assert word.mirror().to_json() == [{"gen": "E", "row": 1, "exp": 3},
-                                       {"gen": "F", "row": 2, "exp": 1}]
+    assert word.to_json() == [{"gen": "E", "row": 2, "exp": 1},
+                              {"gen": "F", "row": 1, "exp": 3}]
 
 
 @pytest.mark.parametrize("make, fields", [
